@@ -1,50 +1,39 @@
 """Brute-force worst-case round-trip sweep.
 
 Both VCPUs are modeled as backlogged sporadic servers: a contiguous budget
-window of length C at a fixed offset in every period T.  The sweep enumerates
+window of length C at a fixed offset in every period T.  The oracle covers
 the receiver window phase ``phi`` in [0, T_d) and the position ``sigma`` in
 [0, C_s) of the send start inside the sender's window, advances the request
 and the response through the windows with exact integer arithmetic, and
 returns the largest observed round trip (send start to response completion).
 
-The inner sweep is the hot kernel.  Three interchangeable backends exist:
+The sweep is separable.  A send at ``sigma`` ends its request at
+``te(sigma)`` whatever the phase, and the response then takes
+``D(x) = _resp_end(..., phi, te, m) - te``, which depends only on the
+request's end offset ``x = (te - phi) mod T_d`` in the receiver's period.
+So one loop over ``x`` in [0, T_d) tabulates ``D``, and one loop over
+``sigma`` adds to ``te - sigma`` the worst ``D`` its phases can reach:
+O(C_s + T_d) helper calls per input instead of O(C_s * T_d), with the same
+maximum as the two-dimensional (phi, sigma) grid.
 
-* ``numba``  - @njit compiled loops (default when numba imports),
-* ``numpy``  - vectorized over the (phi, sigma) grid in chunks,
-* ``python`` - plain loops, the reference the other two are tested against.
-
-Set ``MQSIM_ORACLE_BACKEND`` to one of those names to force a backend, or
-``MQSIM_NO_NUMBA=1`` to select the numpy path.  ``benchmarks/bench_oracle.py``
-compares the backends.
+At ``resolution`` r > 1 the grid is ``sigma`` in range(0, C_s, r) and
+``phi`` in range(0, T_d, r), as in a two-dimensional sweep, and the result
+is exactly that grid's maximum, at most the resolution-1 value.  When r
+divides T_d those phases are every multiple of r modulo T_d, so a send meets
+the worst ``D`` over the offsets congruent to its request end mod r.
+Otherwise each send takes the maximum over its own phases, which costs
+O(C_s * T_d / r**2) lookups in the table of ``D``.  At r = 1 every phase is
+covered and the worst response is ``max D`` for every send offset.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from fractions import Fraction
 
-import numpy as np
-
 from mqsim.bounds.formulas import CommBoundInput
 from mqsim.errors import ResolutionTooCoarse
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(fn):
-            return fn
-        return deco
-
-# grids smaller than this run on the python reference; JIT warmup costs more
-# than it saves there
-_SMALL_GRID = 4096
 
 
 def _send_end(c_s: int, t_s: int, n: int, sigma: int) -> int:
@@ -79,112 +68,26 @@ def _resp_end(c_d: int, t_d: int, phi: int, t0: int, work: int) -> int:
     return t + avail + (t_d - c_d) + k1 * t_d + last
 
 
-def _worst_python(c_s, t_s, c_d, t_d, n, m, res):
-    """Largest round trip and the first (sigma, send end, response end)
-    that reaches it."""
-    best, arg = -1, (0, 0, 0)
-    for phi in range(0, t_d, res):
-        for sigma in range(0, c_s, res):
-            te = _send_end(c_s, t_s, n, sigma)
-            tr = _resp_end(c_d, t_d, phi, te, m)
-            if tr - sigma > best:
-                best, arg = tr - sigma, (sigma, te, tr)
-    return (best, *arg)
-
-
-def _sweep_python(c_s, t_s, c_d, t_d, n, m, res):
-    return _worst_python(c_s, t_s, c_d, t_d, n, m, res)[0]
-
-
-@njit(cache=True)
-def _sweep_numba(c_s, t_s, c_d, t_d, n, m, res):  # pragma: no cover - compiled
-    best = -1
-    for phi in range(0, t_d, res):
-        for sigma in range(0, c_s, res):
-            r = c_s - sigma
-            if n <= r:
-                te = sigma + n
-            else:
-                rem = n - r
-                full = rem // c_s
-                part = rem - full * c_s
-                if part == 0:
-                    te = full * t_s + c_s
-                else:
-                    te = (full + 1) * t_s + part
-            if m == 0:
-                tr = te
-            else:
-                x = (te - phi) % t_d
-                if x >= c_d:
-                    t = te + (t_d - x)
-                    x = 0
-                else:
-                    t = te
-                avail = c_d - x
-                if m <= avail:
-                    tr = t + m
-                else:
-                    w2 = m - avail
-                    k1 = (w2 - 1) // c_d
-                    last = w2 - k1 * c_d
-                    tr = t + avail + (t_d - c_d) + k1 * t_d + last
-            rtt = tr - sigma
-            if rtt > best:
-                best = rtt
-    return best
-
-
-def _sweep_numpy(c_s, t_s, c_d, t_d, n, m, res):
-    sigma = np.arange(0, c_s, res, dtype=np.int64)
-    r = c_s - sigma
-    rem = np.maximum(n - r, 1)
-    full = rem // c_s
-    part = rem - full * c_s
-    te_span = np.where(part == 0, full * t_s + c_s, (full + 1) * t_s + part)
-    te = np.where(n <= r, sigma + n, te_span)
-
-    phis = np.arange(0, t_d, res, dtype=np.int64)
-    best = -1
-    chunk = max(1, 10_000_000 // max(1, len(sigma)))
-    for lo in range(0, len(phis), chunk):
-        phi = phis[lo:lo + chunk, None]
-        x = (te[None, :] - phi) % t_d
-        waited = x >= c_d
-        t = np.where(waited, te[None, :] + t_d - x, te[None, :])
-        avail = c_d - np.where(waited, 0, x)
-        w2 = np.maximum(m - avail, 1)
-        k1 = (w2 - 1) // c_d
-        last = w2 - k1 * c_d
-        tr = np.where(m <= avail, t + m,
-                      t + avail + (t_d - c_d) + k1 * t_d + last)
-        if m == 0:
-            tr = np.broadcast_to(te[None, :], tr.shape)
-        best = max(best, int((tr - sigma[None, :]).max()))
-    return best
+def _worst(c_s, t_s, c_d, t_d, n, m, res):
+    """Largest round trip on the ``res`` grid, with the first send offset
+    that reaches it and that send's request and response times."""
+    d = [_resp_end(c_d, t_d, 0, x, m) - x for x in range(t_d)]
+    sigmas = range(0, c_s, res)
+    req = [_send_end(c_s, t_s, n, s) - s for s in sigmas]
+    if t_d % res == 0:  # the phases are every multiple of res mod T_d
+        top = [max(d[r::res]) for r in range(res)]
+        resp = [top[(q + s) % res] for q, s in zip(req, sigmas)]
+    else:  # the phases do not tile the period: scan each send's own
+        resp = [max(d[(q + s - p) % t_d] for p in range(0, t_d, res))
+                for q, s in zip(req, sigmas)]
+    total = [q + r for q, r in zip(req, resp)]
+    i = total.index(max(total))
+    return total[i], sigmas[i], req[i], resp[i]
 
 
 def sweep_backend_name() -> str:
-    """Backend the next full-size sweep will run on."""
-    forced = os.environ.get("MQSIM_ORACLE_BACKEND", "").lower()
-    if forced in ("numba", "numpy", "python"):
-        return forced
-    if os.environ.get("MQSIM_NO_NUMBA", "") not in ("", "0"):
-        return "numpy"
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-def _dispatch(c_s, t_s, c_d, t_d, n, m, res) -> int:
-    backend = sweep_backend_name()
-    if backend == "numba" and not _HAVE_NUMBA:
-        backend = "numpy"
-    points = (t_d // res) * (c_s // res)
-    forced = "MQSIM_ORACLE_BACKEND" in os.environ
-    if backend == "python" or (points < _SMALL_GRID and not forced):
-        return _sweep_python(c_s, t_s, c_d, t_d, n, m, res)
-    if backend == "numpy":
-        return _sweep_numpy(c_s, t_s, c_d, t_d, n, m, res)
-    return int(_sweep_numba(c_s, t_s, c_d, t_d, n, m, res))
+    """Name of the sweep implementation, stamped into benchmark records."""
+    return "separable"
 
 
 def _on_grid(inp: CommBoundInput, resolution: int):
@@ -196,7 +99,7 @@ def _on_grid(inp: CommBoundInput, resolution: int):
 
 
 def brute_force_worst_rtt(inp: CommBoundInput, resolution: int = 1) -> Fraction:
-    """Largest round trip found by the (phi, sigma) sweep at ``resolution``.
+    """Largest round trip over the (phi, sigma) grid at ``resolution``.
 
     Rational inputs are rescaled to a common integer tick, swept exactly, and
     scaled back, so the result is exact at resolution 1.  Emits a
@@ -211,15 +114,15 @@ def brute_force_worst_rtt(inp: CommBoundInput, resolution: int = 1) -> Fraction:
             f"resolution {resolution} exceeds the parameter gcd; "
             "the sweep may miss the true maximum", ResolutionTooCoarse)
 
-    best = _dispatch(c_s, t_s, c_d, t_d, n, m, res)
-    return Fraction(best, scale)
+    return Fraction(_worst(c_s, t_s, c_d, t_d, n, m, res)[0], scale)
 
 
 def worst_point(inp: CommBoundInput) -> dict:
-    """Send offset, request time and response time at the first
-    (phi, sigma) pair of the resolution-1 sweep that reaches its maximum,
-    for explaining a bound that falls short."""
+    """Split of the resolution-1 maximum, for explaining a bound that falls
+    short: ``sigma`` is the first send offset with the longest request
+    (``te - sigma``), and ``response`` is the worst response over every
+    phase.  Any (phi, sigma) pair that reaches the maximum has both."""
     scale, (c_s, t_s, c_d, t_d, n, m), res = _on_grid(inp, 1)
-    _, sigma, te, tr = _worst_python(c_s, t_s, c_d, t_d, n, m, res)
-    return {"sigma": Fraction(sigma, scale), "request": Fraction(te - sigma, scale),
-            "response": Fraction(tr - te, scale)}
+    _, sigma, request, response = _worst(c_s, t_s, c_d, t_d, n, m, res)
+    return {"sigma": Fraction(sigma, scale), "request": Fraction(request, scale),
+            "response": Fraction(response, scale)}

@@ -265,12 +265,16 @@ def fig12_worst_exchange(row: dict, grid: int = FIG12_GRID) -> dict:
 def experiment_fig12(out_dir: str | None = None,
                      exchanges: int = FIG12_EXCHANGES,
                      grid: int = FIG12_GRID,
-                     oracle_resolution: int = 1000) -> dict:
+                     oracle_resolution: int = 1) -> dict:
     """Sweep receiver sleep phases and in-budget send offsets for the five
     configurations; report the observed worst round trip against the sound
     bound's ``observed`` total, next to the paper's W and W' and the
     brute-force sweep (which ends at response completion) as
-    cross-references."""
+    cross-references.
+
+    The configurations are named case1-case5, but the paper variant
+    (``comm_breakdown(...).case_id``) puts them in its cases 1, 2, 4, 4 and
+    4: no configuration runs the paper's case 3 or 5."""
     c_s, t_s = FIG12_SENDER
     rows = []
     for name, cfg in FIG12_CASES.items():

@@ -1,5 +1,7 @@
-"""Brute-force sweep oracle: backend agreement and reference cases."""
+"""Brute-force sweep oracle: the separable sweep against the two-dimensional
+reference, and reference cases."""
 
+import itertools
 import random
 import warnings
 from fractions import Fraction
@@ -8,9 +10,9 @@ import pytest
 
 from mqsim.bounds import (CommBoundInput, brute_force_worst_rtt, comm_breakdown,
                           rtt_bound)
-from mqsim.bounds.oracle import (_sweep_numba, _sweep_numpy, _sweep_python,
-                                 worst_point)
+from mqsim.bounds.oracle import _send_end, _worst, worst_point
 from mqsim.errors import ResolutionTooCoarse
+from oracle_reference import worst_2d
 
 
 def test_worked_example_bracket():
@@ -27,36 +29,42 @@ def test_always_runnable_is_pure_work():
     assert brute_force_worst_rtt(with_k) == 10
 
 
-def test_backends_agree():
+def test_separable_sweep_equals_2d_reference():
+    """Seeded random inputs at resolution 1, at a resolution dividing T_d and
+    at one that need not; at resolution 1 the reference's first argmax has
+    ``worst_point``'s request and response, and ``worst_point``'s offset is
+    the first with the longest request."""
     rng = random.Random(5)
-    for _ in range(40):
+    for _ in range(300):
         c_s = rng.randint(1, 30)
         t_s = rng.randint(c_s, 60)
         c_d = rng.randint(1, 30)
         t_d = rng.randint(c_d, 60)
         n = rng.randint(1, 40)
         m = rng.randint(0, 40)
-        args = (c_s, t_s, c_d, t_d, n, m, 1)
-        ref = _sweep_python(*args)
-        assert _sweep_numpy(*args) == ref
-        assert int(_sweep_numba(*args)) == ref
+        divisor = rng.choice([r for r in range(2, t_d + 1) if t_d % r == 0] or [1])
+        for res in (1, divisor, rng.randint(2, 12)):
+            args = (c_s, t_s, c_d, t_d, n, m, res)
+            assert _worst(*args)[0] == worst_2d(*args)[0], args
+        _, sigma, te, tr = worst_2d(c_s, t_s, c_d, t_d, n, m, 1)
+        point = worst_point(CommBoundInput.from_work(c_s, t_s, c_d, t_d, n, m))
+        assert (point["request"], point["response"]) == (te - sigma, tr - te)
+        requests = [_send_end(c_s, t_s, n, s) - s for s in range(c_s)]
+        assert point["sigma"] == requests.index(max(requests))
 
 
-def test_env_flag_selects_numpy(monkeypatch):
-    monkeypatch.setenv("MQSIM_NO_NUMBA", "1")
-    from mqsim.bounds.oracle import sweep_backend_name
-    assert sweep_backend_name() == "numpy"
-    inp = CommBoundInput.from_work(2, 10, 3, 15, 5, 4)
-    assert 48 <= brute_force_worst_rtt(inp) <= 49
-
-
-def test_forced_backend(monkeypatch):
-    inp = CommBoundInput.from_work(2, 10, 3, 15, 5, 4)
-    results = set()
-    for backend in ("python", "numpy", "numba"):
-        monkeypatch.setenv("MQSIM_ORACLE_BACKEND", backend)
-        results.add(brute_force_worst_rtt(inp))
-    assert results == {49}
+def test_separable_sweep_equals_2d_reference_exhaustively_up_to_6():
+    """Every integer input with all parameters, the resolution included,
+    at most 6."""
+    r = range(1, 7)
+    vcpus = [(c, t) for c in r for t in r if c <= t]
+    count = 0
+    for (c_s, t_s), (c_d, t_d), n, m, res in itertools.product(
+            vcpus, vcpus, r, range(0, 7), r):
+        args = (c_s, t_s, c_d, t_d, n, m, res)
+        assert _worst(*args)[0] == worst_2d(*args)[0], args
+        count += 1
+    assert count == 21 * 21 * 6 * 7 * 6
 
 
 def test_coarse_resolution_warns_and_lower_bounds():

@@ -10,10 +10,11 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from mqsim.bounds import (CommBoundInput, brute_force_worst_rtt, comm_breakdown,
                           observation_delay, rtt_bound)
-from mqsim.bounds.oracle import _resp_end, _send_end, _sweep_python
+from mqsim.bounds.oracle import _resp_end, _send_end
 from mqsim.clock import SandboxClock
 from mqsim.core import Simulator
 from mqsim.sched import admit
+from oracle_reference import worst_2d
 
 
 @given(offset=st.integers(-10**6, 10**6), t=st.integers(0, 10**9))
@@ -99,7 +100,7 @@ def test_sound_bound_equals_sweep_exhaustively_up_to_8():
     for (c_s, t_s), (c_d, t_d), n, m in itertools.product(vcpus, vcpus, r,
                                                           range(0, 9)):
         bound = rtt_bound(CommBoundInput.from_work(c_s, t_s, c_d, t_d, n, m))
-        oracle = _sweep_python(c_s, t_s, c_d, t_d, n, m, 1)
+        oracle = worst_2d(c_s, t_s, c_d, t_d, n, m, 1)[0]
         assert oracle == bound.completion, (c_s, t_s, c_d, t_d, n, m)
         count += 1
     assert count == 93312
