@@ -291,6 +291,3 @@ def run_criterion(name: str, fast: bool = False) -> CriterionResult:
     passed, detail = fn(fast=fast)
     return CriterionResult(name, passed, detail, time.time() - t0)
 
-
-def run_all(fast: bool = False) -> list:
-    return [run_criterion(name, fast) for name, _ in CRITERIA]

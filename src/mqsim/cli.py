@@ -6,13 +6,15 @@
                       [--k ..] [--oracle] [--resolution T]
     mqsim bounds migration --delta .. --cm .. --tm .. [--es ..]
     mqsim bounds adjust --tscd .. --tscs .. --rdtsc .. --ipi ..
-    mqsim verify [--fast]
+    mqsim verify [--fast] [--json]
 
 ``run`` and ``experiment`` write metrics.csv / trace.csv / summary.json;
 ``bounds`` prints the full symbol breakdown as a table plus JSON (for
 ``comm``: the paper variant's symbols, then the sound bound's segments under
 ``sound``); ``verify`` executes the acceptance suite and exits 0 only if
-every criterion passes.
+every criterion passes; with ``--json`` it prints one JSON object per
+criterion (``name``, ``passed``, ``elapsed`` in seconds, ``detail``) as each
+one finishes.
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ def main(argv=None) -> int:
     p_ver = sub.add_parser("verify", help="run the acceptance suite")
     p_ver.add_argument("--fast", action="store_true",
                        help="shrink the randomized and sweep workloads")
+    p_ver.add_argument("--json", action="store_true",
+                       help="one JSON object per criterion instead of text")
 
     args = parser.parse_args(argv)
     return {
@@ -183,14 +187,20 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from mqsim.acceptance import run_all
-    results = run_all(fast=args.fast)
+    from mqsim.acceptance import CRITERIA, run_criterion
     failed = 0
-    for r in results:
-        mark = "PASS" if r.passed else "FAIL"
-        print(f"[{mark}] {r.name} ({r.elapsed:.1f}s) {r.detail}")
+    for name, _ in CRITERIA:
+        r = run_criterion(name, fast=args.fast)
+        if args.json:
+            print(json.dumps({"name": r.name, "passed": r.passed,
+                              "elapsed": round(r.elapsed, 3),
+                              "detail": r.detail}), flush=True)
+        else:
+            mark = "PASS" if r.passed else "FAIL"
+            print(f"[{mark}] {r.name} ({r.elapsed:.1f}s) {r.detail}", flush=True)
         failed += 0 if r.passed else 1
-    print(f"{len(results) - failed}/{len(results)} criteria passed")
+    if not args.json:
+        print(f"{len(CRITERIA) - failed}/{len(CRITERIA)} criteria passed")
     return 0 if failed == 0 else 1
 
 

@@ -94,9 +94,13 @@ class Simulator:
         ev.cancelled = True
         return True
 
-    def run_until(self, t_true: int) -> SimTrace:
+    def run_until(self, t_true: int, stop=None) -> SimTrace:
         """Dispatch every pending event with fire_at <= t_true, in
-        (fire_at, seq) order, then advance the clock to t_true."""
+        (fire_at, seq) order, then advance the clock to t_true.
+
+        ``stop`` is checked after each dispatched event; when it returns
+        true the run ends there, with ``now`` at that event's time, and a
+        later ``run_until`` dispatches the events still pending."""
         if t_true < self.now:
             raise PastTimestamp(f"cannot run backwards to {t_true}")
         while self._heap and self._heap[0][0] <= t_true:
@@ -107,6 +111,8 @@ class Simulator:
             self.now = ev.fire_at
             if ev.handler is not None:
                 ev.handler(ev)
+            if stop is not None and stop():
+                return self.trace
         self.now = t_true
         return self.trace
 

@@ -66,6 +66,9 @@ class Channel:
     mbox_to_a: Mailbox = field(default_factory=Mailbox)
     mbox_to_b: Mailbox = field(default_factory=Mailbox)
     established: bool = True
+    # integer send cost per (side, nbytes); the profile is frozen
+    _send_costs: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def bind(self, task_a, task_b):
         self.task_a, self.task_b = task_a, task_b
@@ -91,10 +94,16 @@ class Channel:
 
     def send_work(self, task, nbytes: int) -> int:
         """Execution ticks the send costs; checked at send start."""
-        if self._outbox(task).status_full:
+        side = self._side(task)
+        if (self.mbox_to_b if side == "a" else self.mbox_to_a).status_full:
             raise MailboxFull(f"channel {self.id}: previous message not consumed")
-        delta = self.profile.delta_s if self._side(task) == "a" else self.profile.delta_d
-        return _integral(nbytes * Fraction(delta), "message cost")
+        key = (side, nbytes)
+        cost = self._send_costs.get(key)
+        if cost is None:
+            delta = self.profile.delta_s if side == "a" else self.profile.delta_d
+            cost = _integral(nbytes * Fraction(delta), "message cost")
+            self._send_costs[key] = cost
+        return cost
 
     def finish_send(self, task, now: int, nbytes: int = 0):
         """Transmission complete: flip the status bit and, if the peer is
@@ -159,13 +168,18 @@ def establish_channel(sim, sandbox_a: str, sandbox_b: str,
 
 
 def run_pingpong(sim, channel: Channel, exchanges: int,
-                 step: int = 1_000_000, limit: int | None = None) -> list[int]:
+                 limit: int | None = None) -> list[int]:
     """Drive the simulation until the sender has recorded ``exchanges``
-    round-trip samples; returns the samples in ticks."""
+    round-trip samples (the run ends at the event that records the last
+    one) or until ``limit``; returns the samples in ticks."""
     sender = channel.task_a
     hard_limit = limit if limit is not None else sim.now + 3_600_000_000
-    while len(sender.rtt_samples) < exchanges and sim.now < hard_limit:
-        sim.run_until(min(sim.now + step, hard_limit))
+
+    def done() -> bool:
+        return len(sender.rtt_samples) >= exchanges
+
+    if not done() and sim.now < hard_limit:
+        sim.run_until(hard_limit, stop=done)
     return [rtt for (_, _, rtt) in sender.rtt_samples[:exchanges]]
 
 

@@ -200,6 +200,7 @@ class Vcpu:
         self.tasks: list[Task] = []
         self.io_jobs: deque[IoJob] = deque()
         self.inherited: dict[str, tuple] = {}
+        self._queue = self.io_jobs if kind == "io" else self.ready_q
         self.migrating = False
         self.min_dispatch_budget = 1
         self.chunk_activation_local: int | None = None
@@ -218,19 +219,21 @@ class Vcpu:
             return min(self.inherited.values()) if self.inherited else _BACKGROUND
         return (0 if self.highest_priority else 1, self.period, self.index)
 
-    def has_work(self) -> bool:
-        if self.kind == "io":
-            return bool(self.io_jobs)
-        return bool(self.ready_q)
+    @property
+    def min_dispatch_budget(self) -> int:
+        return self._min_dispatch_budget
+
+    @min_dispatch_budget.setter
+    def min_dispatch_budget(self, value: int):
+        self._min_dispatch_budget = value
+        self._dispatch_floor = min(value, self.capacity)
 
     def eligible(self) -> bool:
-        return (not self.migrating and self.has_work()
-                and self.budget >= min(self.min_dispatch_budget, self.capacity))
+        return _eligible(self)
 
     def current_work(self):
-        if self.kind == "io":
-            return self.io_jobs[0] if self.io_jobs else None
-        return self.ready_q[0] if self.ready_q else None
+        q = self._queue
+        return q[0] if q else None
 
     # -- budget accounting --------------------------------------------------
 
@@ -338,6 +341,13 @@ class Vcpu:
 
     def finish_eligible(self, t: int):
         self.record_eligible(False, t)
+
+
+def _eligible(v: Vcpu) -> bool:
+    """The dispatch predicate behind ``Vcpu.eligible``: not migrating, work
+    queued, and budget at least min(min_dispatch_budget, capacity).  The
+    scheduler's own loops call it directly."""
+    return not v.migrating and bool(v._queue) and v.budget >= v._dispatch_floor
 
 
 def consume_budget(vcpu: Vcpu, amount: int, now_local: int):
@@ -453,6 +463,9 @@ class Sandbox:
         self._advance_event: int | None = None
         self._touching = False
         self._retouch = False
+        self._unblock_hook = None
+        self._by_priority: list[Vcpu] = []  # main VCPUs by static priority key
+        self._io_vcpus: list[Vcpu] = []
         sim.sandboxes[sandbox_id] = self
 
     # -- construction -------------------------------------------------------
@@ -465,6 +478,7 @@ class Sandbox:
                  kind: str = "main", highest_priority: bool = False) -> Vcpu:
         v = Vcpu(self, vcpu_id, capacity, period, kind, highest_priority)
         self.vcpus[vcpu_id] = v
+        self._order_vcpus()
         return v
 
     def add_task(self, task_id: str, vcpu: Vcpu, program=None, driver=None,
@@ -484,11 +498,25 @@ class Sandbox:
         for t in v.tasks:
             t.sandbox = self
             self.tasks[t.id] = t
+        self._order_vcpus()
 
     def drop_vcpu(self, v: Vcpu):
         self.vcpus.pop(v.id, None)
         for t in v.tasks:
             self.tasks.pop(t.id, None)
+        self._order_vcpus()
+
+    def _order_vcpus(self):
+        """Cache the dispatch order.  A main VCPU's priority key is static
+        (it changes only when ``adopt_vcpu`` re-indexes it), so the mains are
+        sorted once; I/O VCPUs inherit keys at run time and are compared on
+        each pick.  ``_slot`` is the position in ``vcpus``, which breaks key
+        ties as the insertion-order scan always did."""
+        for slot, v in enumerate(self.vcpus.values()):
+            v._slot = slot
+        self._by_priority = sorted((v for v in self.vcpus.values() if v.kind != "io"),
+                                   key=Vcpu.priority_key)
+        self._io_vcpus = [v for v in self.vcpus.values() if v.kind == "io"]
 
     def now_local(self) -> int:
         return self.clock.to_local(self.sim.now)
@@ -590,34 +618,37 @@ class Sandbox:
         self.touch()
 
     def _on_io_arrival(self, task: Task, completion_work: int):
-        io_vcpu = next((v for v in self.vcpus.values() if v.kind == "io"), None)
-        if io_vcpu is None:
+        if not self._io_vcpus:
             task.io_blocked = False
             task.make_ready()
             self.sim.trace.add(self.sim.now, self.id, "io_done", task.id, "direct")
             self.touch()
             return
+        io_vcpu = self._io_vcpus[0]
         io_vcpu.io_jobs.append(IoJob(task, completion_work))
         inherit_priority(io_vcpu, task.vcpu, token=task.id)
         self.touch()
 
     def _on_unblock(self):
         self.drain_ipis()
-        hook = getattr(self, "_unblock_hook", None)
+        hook = self._unblock_hook
         if hook is not None:
             self._unblock_hook = None
             hook()
         self.touch()
 
     def _pick(self) -> Vcpu | None:
-        best = None
-        best_key = None
-        for v in self.vcpus.values():
-            if not v.eligible():
-                continue
-            key = v.priority_key()
-            if best_key is None or key < best_key:
-                best, best_key = v, key
+        """The eligible VCPU with the smallest priority key, ties going to
+        the earlier one in ``vcpus``."""
+        best = next((v for v in self._by_priority if _eligible(v)), None)
+        if not self._io_vcpus:
+            return best
+        best_key = (best.priority_key(), best._slot) if best is not None else None
+        for v in self._io_vcpus:
+            if _eligible(v):
+                key = (v.priority_key(), v._slot)
+                if best_key is None or key < best_key:
+                    best, best_key = v, key
         return best
 
     def touch(self):
@@ -629,7 +660,6 @@ class Sandbox:
             while True:
                 self._retouch = False
                 self._settle()
-                self._refresh_eligibility()
                 self._schedule()
                 self._refresh_eligibility()
                 if not self._retouch:
@@ -638,9 +668,15 @@ class Sandbox:
             self._touching = False
 
     def _refresh_eligibility(self):
+        """Record eligibility changes at ``now``.  Once per touch is enough:
+        every refresh of a touch sees the same ``now``, and ``record_eligible``
+        keeps only the last flag at a tick (zero-length intervals are dropped,
+        intervals meeting at a tick are merged)."""
         t = self.sim.now
         for v in self.vcpus.values():
-            v.record_eligible(v.eligible(), t)
+            flag = _eligible(v)
+            if flag != (v._eligible_since is not None):
+                v.record_eligible(flag, t)
 
     def _settle(self):
         if self.running is None:
@@ -693,7 +729,6 @@ class Sandbox:
                 continue
             if self._retouch:
                 return
-            self._refresh_eligibility()
             if self._pick() is not best:
                 continue
             self._arm_advance(best)

@@ -99,3 +99,29 @@ class TestRunCli:
     def test_unknown_scenario(self, capsys):
         with pytest.raises(Exception):
             main(["run", "missing.json"])
+
+
+class TestVerifyCli:
+    def test_json_lines(self, capsys, monkeypatch):
+        from mqsim import acceptance
+        cheap = acceptance.CRITERIA[:2] + [
+            ("always-fails", lambda fast=False: (False, "forced failure"))]
+        monkeypatch.setattr(acceptance, "CRITERIA", cheap)
+        rc = main(["verify", "--json"])
+        assert rc == 1
+        lines = capsys.readouterr().out.strip().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert [r["name"] for r in records] == [name for name, _ in cheap]
+        assert [r["passed"] for r in records] == [True, True, False]
+        for r in records:
+            assert set(r) == {"name", "passed", "elapsed", "detail"}
+            assert isinstance(r["elapsed"], float) and r["elapsed"] >= 0
+        assert records[2]["detail"] == "forced failure"
+
+    def test_text_summary(self, capsys, monkeypatch):
+        from mqsim import acceptance
+        monkeypatch.setattr(acceptance, "CRITERIA", acceptance.CRITERIA[:1])
+        assert main(["verify"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("[PASS] 1-migration-bound-golden-values")
+        assert out.strip().endswith("1/1 criteria passed")

@@ -64,6 +64,41 @@ def test_events_added_during_dispatch_run_in_order():
     assert log == ["first", "second", "nested"]
 
 
+class TestStopPredicate:
+    def three_events(self):
+        sim = Simulator()
+        log = []
+        for t in (10, 20, 30):
+            sim.post_event(t, "e", handler=collector(sim, log), payload=t)
+        return sim, log
+
+    def test_returns_at_the_stopping_event(self):
+        sim, log = self.three_events()
+        sim.run_until(100, stop=lambda: len(log) == 2)
+        assert [p for _, _, p in log] == [10, 20]
+        assert sim.now == 20
+
+    def test_later_run_dispatches_the_rest(self):
+        sim, log = self.three_events()
+        sim.run_until(100, stop=lambda: len(log) == 1)
+        assert sim.now == 10
+        sim.run_until(100)
+        assert [p for _, _, p in log] == [10, 20, 30]
+        assert sim.now == 100
+
+    def test_none_runs_to_the_horizon(self):
+        sim, log = self.three_events()
+        sim.run_until(25, stop=None)
+        assert [p for _, _, p in log] == [10, 20]
+        assert sim.now == 25
+
+    def test_predicate_never_true_runs_to_the_horizon(self):
+        sim, log = self.three_events()
+        sim.run_until(100, stop=lambda: False)
+        assert len(log) == 3
+        assert sim.now == 100
+
+
 class TestClock:
     def test_identity(self):
         c = SandboxClock("s")

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mqsim.core import CostModel, Simulator
+from mqsim import experiments
 from mqsim.errors import AccessDenied, MailboxFull, SelfChannel
 from mqsim.ipc import ExchangeProfile, establish_channel, run_pingpong
 from mqsim.sched import Sandbox
@@ -79,6 +80,26 @@ class TestMailbox:
         assert ch.take(rcv) is not None
         assert ch.take(rcv) is None
 
+    def test_cached_send_cost_still_checks_the_outbox(self):
+        sim, ch, snd, rcv = pair(idle=True)
+        assert ch.send_work(snd, 5) == 5
+        ch.finish_send(snd, 0, 5)
+        with pytest.raises(MailboxFull):
+            ch.send_work(snd, 5)
+        assert ch.take(rcv) is not None
+        assert ch.send_work(snd, 5) == 5
+
+    def test_non_integral_cost_raises_after_a_cached_one(self):
+        prof = ExchangeProfile(n_bytes=4, m_bytes=4, delta_s=Fraction(1, 2),
+                               delta_d=Fraction(1, 2))
+        sim, ch, snd, rcv = pair(profile=prof, idle=True)
+        assert ch.send_work(snd, 4) == 2
+        with pytest.raises(ValueError):
+            ch.send_work(snd, 3)
+        with pytest.raises(ValueError):
+            ch.send_work(snd, 3)
+        assert ch.send_work(rcv, 4) == 2
+
     def test_poll_once_charges_budget(self):
         sim, ch, snd, rcv = pair(idle=True)
         before = rcv.vcpu.budget
@@ -134,3 +155,26 @@ class TestExchangeTiming:
                                  receiver_kwargs={"initial_sleep": 9_000})
         rtts = run_pingpong(sim, ch, 3)
         assert max(rtts) == 94_000
+
+    def test_samples_equal_fixed_step_run(self):
+        """Ending at the last requested sample changes no sample: the fig12
+        case4 point at busy wait 7 ms and receiver phase 120 ms, run to its
+        samples and stepped in 1 s steps."""
+        c_s, t_s = experiments.FIG12_SENDER
+        prof = ExchangeProfile(n_bytes=2048, m_bytes=2048,
+                               delta_s=Fraction(experiments.FIG12_REQUEST_WORK, 2048),
+                               delta_d=Fraction(5_000, 2048))
+
+        def point():
+            return pair(profile=prof, cs=c_s, ts=t_s, cd=20_000, td=200_000,
+                        sender_kwargs={"busy_wait": 7_000},
+                        receiver_kwargs={"initial_sleep": 120_000})
+
+        sim, ch, snd, rcv = point()
+        rtts = run_pingpong(sim, ch, 12)
+        stepped_sim, _, stepped, _ = point()
+        while len(stepped.rtt_samples) < 12:
+            stepped_sim.run_until(stepped_sim.now + 1_000_000)
+        assert snd.rtt_samples == stepped.rtt_samples[:12]
+        assert rtts == [rtt for _, _, rtt in stepped.rtt_samples[:12]]
+        assert sim.now == snd.rtt_samples[-1][1] + rtts[-1]

@@ -9,7 +9,7 @@ from mqsim.core import CostModel, Simulator
 from mqsim.errors import MalformedVcpu, NotIoVcpu, OverConsume
 from mqsim.metrics import (IntervalSet, budget_law_violations, finish_run,
                            replenishment_conserved)
-from mqsim.sched import (REPL_QUEUE_CAP, Sandbox, admit, consume_budget,
+from mqsim.sched import (REPL_QUEUE_CAP, IoJob, Sandbox, admit, consume_budget,
                          inherit_priority, restore_priority)
 from mqsim.workloads import busy_loop, io_cycle
 
@@ -160,6 +160,41 @@ class TestPriorityInheritance:
         assert io.priority_key() == short.priority_key()  # max of the two
         restore_priority(io, "short")
         assert io.priority_key() == long.priority_key()
+
+    def test_key_tie_goes_to_the_earlier_vcpu(self):
+        """An I/O VCPU holding a main VCPU's own key runs first when it was
+        added first, and second when it was added after."""
+        for io_first in (True, False):
+            sim, sb = mini()
+            if io_first:
+                io = sb.add_vcpu("io", 10, 100, kind="io")
+            main = sb.add_vcpu("m", 10, 100)
+            if not io_first:
+                io = sb.add_vcpu("io", 10, 100, kind="io")
+            sb.add_task("busy", main, program=busy_loop(5))
+            parked = sb.add_task("waiter", main, program=busy_loop(5),
+                                 start_ready=False)
+            io.io_jobs.append(IoJob(parked, 3))
+            inherit_priority(io, main, token="waiter")
+            assert sb.pick_next() == ("io" if io_first else "m")
+
+    def test_order_follows_adopt_and_drop(self):
+        sim, sb = mini()
+        other = Sandbox(sim, "other")
+        fast = sb.add_vcpu("fast", 10, 50)
+        slow = sb.add_vcpu("slow", 10, 100)
+        for v in (fast, slow):
+            sb.add_task(f"t.{v.id}", v, program=busy_loop(5))
+        assert sb.pick_next() == "fast"
+        sb.drop_vcpu(fast)
+        assert sb.pick_next() == "slow"
+        moved = other.add_vcpu("moved", 10, 60)
+        other.add_task("t.moved", moved, program=busy_loop(5))
+        other.drop_vcpu(moved)
+        sb.adopt_vcpu(moved)
+        assert sb.pick_next() == "moved"
+        sb.drop_vcpu(moved)
+        assert sb.pick_next() == "slow"
 
     def test_io_completion_wakes_task(self):
         sim, sb = mini()
