@@ -94,9 +94,9 @@ class Channel:
 
     def send_work(self, task, nbytes: int) -> int:
         """Execution ticks the send costs; checked at send start."""
-        side = self._side(task)
-        if (self.mbox_to_b if side == "a" else self.mbox_to_a).status_full:
+        if self._outbox(task).status_full:
             raise MailboxFull(f"channel {self.id}: previous message not consumed")
+        side = self._side(task)
         key = (side, nbytes)
         cost = self._send_costs.get(key)
         if cost is None:

@@ -229,7 +229,10 @@ class Vcpu:
         self._dispatch_floor = min(value, self.capacity)
 
     def eligible(self) -> bool:
-        return _eligible(self)
+        """Not migrating, work queued, and budget at least
+        min(min_dispatch_budget, capacity)."""
+        return not self.migrating and bool(self._queue) \
+            and self.budget >= self._dispatch_floor
 
     def current_work(self):
         q = self._queue
@@ -341,13 +344,6 @@ class Vcpu:
 
     def finish_eligible(self, t: int):
         self.record_eligible(False, t)
-
-
-def _eligible(v: Vcpu) -> bool:
-    """The dispatch predicate behind ``Vcpu.eligible``: not migrating, work
-    queued, and budget at least min(min_dispatch_budget, capacity).  The
-    scheduler's own loops call it directly."""
-    return not v.migrating and bool(v._queue) and v.budget >= v._dispatch_floor
 
 
 def consume_budget(vcpu: Vcpu, amount: int, now_local: int):
@@ -640,12 +636,12 @@ class Sandbox:
     def _pick(self) -> Vcpu | None:
         """The eligible VCPU with the smallest priority key, ties going to
         the earlier one in ``vcpus``."""
-        best = next((v for v in self._by_priority if _eligible(v)), None)
+        best = next((v for v in self._by_priority if v.eligible()), None)
         if not self._io_vcpus:
             return best
         best_key = (best.priority_key(), best._slot) if best is not None else None
         for v in self._io_vcpus:
-            if _eligible(v):
+            if v.eligible():
                 key = (v.priority_key(), v._slot)
                 if best_key is None or key < best_key:
                     best, best_key = v, key
@@ -674,9 +670,7 @@ class Sandbox:
         intervals meeting at a tick are merged)."""
         t = self.sim.now
         for v in self.vcpus.values():
-            flag = _eligible(v)
-            if flag != (v._eligible_since is not None):
-                v.record_eligible(flag, t)
+            v.record_eligible(v.eligible(), t)
 
     def _settle(self):
         if self.running is None:

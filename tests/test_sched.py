@@ -9,8 +9,8 @@ from mqsim.core import CostModel, Simulator
 from mqsim.errors import MalformedVcpu, NotIoVcpu, OverConsume
 from mqsim.metrics import (IntervalSet, budget_law_violations, finish_run,
                            replenishment_conserved)
-from mqsim.sched import (REPL_QUEUE_CAP, IoJob, Sandbox, admit, consume_budget,
-                         inherit_priority, restore_priority)
+from mqsim.sched import (REPL_QUEUE_CAP, IoJob, Sandbox, Vcpu, admit,
+                         consume_budget, inherit_priority, restore_priority)
 from mqsim.workloads import busy_loop, io_cycle
 
 
@@ -50,6 +50,22 @@ class TestVcpuBasics:
         sim.run_until(200)
         assert a.exec_intervals[:3] == [[0, 10], [50, 60], [100, 110]]
         assert t.counters["iterations"] == 8
+
+    def test_scheduler_asks_vcpu_eligible(self, monkeypatch):
+        """``Vcpu.eligible`` is the one predicate: the pick and the
+        eligibility record both follow it."""
+        sim, sb = mini()
+        a = sb.add_vcpu("a", 10, 50)
+        b = sb.add_vcpu("b", 20, 100)
+        sb.add_task("ta", a, program=busy_loop(5))
+        sb.add_task("tb", b, program=busy_loop(5))
+        monkeypatch.setattr(Vcpu, "eligible", lambda v: v.id == "b")
+        assert sb.pick_next() == "b"
+        sb.touch()
+        sim.run_until(15)
+        finish_run(sim)
+        assert a.eligible_intervals == [] and a.exec_intervals == []
+        assert b.eligible_intervals == [[0, 15]]
 
     def test_highest_priority_flag_beats_shorter_period(self):
         sim, sb = mini()
