@@ -7,8 +7,9 @@ same inputs twice produces byte-identical traces.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heappop, heappush
+from operator import itemgetter
 
 from mqsim.clock import SandboxClock
 from mqsim.errors import PastTimestamp, SelfIpi, UnknownSandbox
@@ -45,16 +46,20 @@ class CostModel:
         return self.vmexit_cost + self.vmentry_cost + self.migration_sched_overhead
 
 
-@dataclass
-class SimEvent:
-    event_id: int
-    fire_at: int
-    seq: int
-    kind: str
-    sandbox_id: str = ""
-    payload: object = None
-    handler: object = None
-    cancelled: bool = field(default=False, compare=False)
+class SimEvent(tuple):
+    """A posted event.  It is its own heap entry: the tuple
+    ``(fire_at, event_id, kind, sandbox_id, payload, handler)`` orders by
+    fire time, then by id, and ids count up in posting order."""
+    __slots__ = ()
+    fire_at = property(itemgetter(0))
+    event_id = property(itemgetter(1))
+    kind = property(itemgetter(2))
+    sandbox_id = property(itemgetter(3))
+    payload = property(itemgetter(4))
+    handler = property(itemgetter(5))
+
+
+_new_event = tuple.__new__
 
 
 class Simulator:
@@ -66,51 +71,50 @@ class Simulator:
         self.trace = SimTrace()
         self.sandboxes: dict[str, object] = {}
         self.channels: dict[tuple, object] = {}
-        self._heap: list[tuple[int, int, SimEvent]] = []
-        self._seq = 0
+        self._heap: list[SimEvent] = []
         self._next_id = 1
-        self._live: dict[int, SimEvent] = {}
+        self._live: set[int] = set()  # ids posted and neither fired nor cancelled
 
     # -- event queue -------------------------------------------------------
 
     def post_event(self, fire_at: int, kind: str, sandbox_id: str = "",
                    payload=None, handler=None) -> int:
         """Enqueue an event; events with equal fire times dispatch in posting
-        order.  Cancellable until fired."""
+        order.  Cancellable until fired.  ``handler`` is called with the
+        ``SimEvent``."""
         if fire_at < self.now:
             raise PastTimestamp(f"fire_at {fire_at} is before now {self.now}")
-        ev = SimEvent(self._next_id, fire_at, self._seq, kind, sandbox_id,
-                      payload, handler)
-        self._next_id += 1
-        self._seq += 1
-        heapq.heappush(self._heap, (fire_at, ev.seq, ev))
-        self._live[ev.event_id] = ev
-        return ev.event_id
+        event_id = self._next_id
+        self._next_id = event_id + 1
+        heappush(self._heap, _new_event(
+            SimEvent, (fire_at, event_id, kind, sandbox_id, payload, handler)))
+        self._live.add(event_id)
+        return event_id
 
     def cancel_event(self, event_id: int) -> bool:
-        ev = self._live.pop(event_id, None)
-        if ev is None:
-            return False
-        ev.cancelled = True
-        return True
+        if event_id in self._live:
+            self._live.remove(event_id)
+            return True
+        return False
 
     def run_until(self, t_true: int, stop=None) -> SimTrace:
         """Dispatch every pending event with fire_at <= t_true, in
-        (fire_at, seq) order, then advance the clock to t_true.
+        (fire_at, event_id) order, then advance the clock to t_true.
 
         ``stop`` is checked after each dispatched event; when it returns
         true the run ends there, with ``now`` at that event's time, and a
         later ``run_until`` dispatches the events still pending."""
         if t_true < self.now:
             raise PastTimestamp(f"cannot run backwards to {t_true}")
-        while self._heap and self._heap[0][0] <= t_true:
-            _, _, ev = heapq.heappop(self._heap)
-            if ev.cancelled:
+        heap, live = self._heap, self._live
+        while heap and heap[0][0] <= t_true:
+            ev = heappop(heap)
+            if ev[1] not in live:
                 continue
-            self._live.pop(ev.event_id, None)
-            self.now = ev.fire_at
-            if ev.handler is not None:
-                ev.handler(ev)
+            live.remove(ev[1])
+            self.now = ev[0]
+            if ev[5] is not None:
+                ev[5](ev)
             if stop is not None and stop():
                 return self.trace
         self.now = t_true
@@ -141,11 +145,9 @@ class Simulator:
         self.sandbox(src)
         dest = self.sandbox(dst)
 
-        def deliver(ev):
-            dest.receive_ipi(src, ev.payload, handler)
-
         return self.post_event(self.now + self.cost.ipi_cost, "ipi-delivery",
-                               dst, payload, deliver)
+                               dst, payload,
+                               lambda ev: dest.receive_ipi(src, payload, handler))
 
     def new_clock(self, sandbox_id: str, offset: int = 0, drift_ppm: int = 0) -> SandboxClock:
         return SandboxClock(sandbox_id, offset, drift_ppm)

@@ -28,6 +28,13 @@ class ExchangeProfile:
     poll_cost: int = 10
     poll_interval: int = 500
 
+    def __post_init__(self):
+        # a free exchange would let two busy-polling tasks trade messages
+        # forever without simulated time passing
+        if self.n_bytes * self.delta_s + self.k + self.m_bytes * self.delta_d <= 0:
+            raise ValueError("an exchange must take time: request, service "
+                             "and response all cost zero ticks")
+
     def request_work(self) -> int:
         return _integral(self.n_bytes * Fraction(self.delta_s), "N*delta_s")
 
@@ -119,11 +126,7 @@ class Channel:
         if (isinstance(peer.step, PollWait) and peer.step.channel is self
                 and sb.running is peer.vcpu and sb.running.current_work() is peer
                 and sb.blocked_until <= now):
-            sb._settle()
-            msg = self.take(peer)
-            peer.step = None
-            peer.pending_result = msg
-            sb.touch()
+            sb.end_poll(peer, self.take(peer))
 
     def take(self, task) -> Message | None:
         """Consume the pending message, if any (no cost: the attempt's cost

@@ -74,11 +74,7 @@ def finish_run(sim):
     """Settle and close every open execution chunk so post-run bookkeeping
     (conservation, intervals) is exact."""
     for sb in sim.sandboxes.values():
-        sb._settle()
-        if sb.running is not None:
-            sb._stop_running()
-        for v in sb.vcpus.values():
-            v.finish_eligible(sim.now)
+        sb.close_run()
 
 
 # --- interval arithmetic ---------------------------------------------------

@@ -203,16 +203,7 @@ class MigrationEngine:
 
         # detach from the source scheduler; pending events are held until
         # completion or rejection
-        vcpu.migrating = True
-        for entry in vcpu.repl:
-            if entry.event_id is not None:
-                self.sim.cancel_event(entry.event_id)
-                entry.event_id = None
-        for t in vcpu.tasks:
-            for w in t.pending_wakeups:
-                if w.event_id is not None:
-                    self.sim.cancel_event(w.event_id)
-                    w.event_id = None
+        src.hold_vcpu(vcpu)
 
         self.sim.trace.add(self.sim.now, source, "mig_request", space_id,
                            f"dst={destination};mode={mode};e_s={e_s};"
@@ -245,8 +236,7 @@ class MigrationEngine:
             job.delta_s_actual = total
             self.sim.trace.add(self.sim.now, dst.id, "mig_admit", job.space_id,
                                f"mode=ipi-handler;block_us={total}")
-            dst.kernel_block(total)
-            dst._unblock_hook = lambda: self.finalize(job)
+            dst.kernel_block(total, then=lambda: self.finalize(job))
             return
         job.state = "at-destination"
         _, task = self.threads[dst.id]
@@ -282,7 +272,7 @@ class MigrationEngine:
         extra = self.sim.cost.resume_overhead if job.needs_resume_overhead else 0
         job.needs_resume_overhead = False
         job.overhead_charged += extra
-        task.vcpu.min_dispatch_budget = 1
+        task.vcpu.set_dispatch_floor(1)
         return MonitorChunk(job, label, work + extra)
 
     def on_chunk_done(self, task, step: MonitorChunk):
@@ -306,7 +296,7 @@ class MigrationEngine:
         need = job.chunks[job.cursor][1] + self.sim.cost.preemption_point_cost
         if v.budget < need:
             job.needs_resume_overhead = True
-            v.min_dispatch_budget = need + self.sim.cost.resume_overhead
+            v.set_dispatch_floor(need + self.sim.cost.resume_overhead)
 
     # -- outcomes -----------------------------------------------------------------
 
@@ -323,21 +313,11 @@ class MigrationEngine:
     def _on_reject_ipi(self, src, dst_id: str, job: MigrationJob):
         """The source puts the address space and its VCPU back into the local
         scheduler and retries the destination one period later."""
-        v = job.vcpu
-        v.migrating = False
-        for entry in v.repl:
-            if entry.event_id is None:
-                v._post_repl_event(entry)
-        for t in v.tasks:
-            for w in list(t.pending_wakeups):
-                if w.event_id is None:
-                    t.pending_wakeups.remove(w)
-                    src.schedule_wake(t, w.t_local)
+        src.resume_vcpu(job.vcpu)
         self.sim.trace.add(self.sim.now, src.id, "mig_requeue", job.space_id, "")
         if job.retries == 0:
-            self.sim.post_event(self.sim.now + v.period, "mig-retry", src.id, job,
-                                lambda ev: self._retry(ev.payload))
-        src.touch()
+            self.sim.post_event(self.sim.now + job.vcpu.period, "mig-retry", src.id,
+                                job, lambda ev: self._retry(job))
 
     def _retry(self, job: MigrationJob):
         try:
@@ -350,7 +330,9 @@ class MigrationEngine:
     def finalize(self, job: MigrationJob):
         """Bind the migrated address space at the destination: shift its
         pending event times by the clock-skew adjustment, enqueue the VCPU,
-        and signal the source to reclaim memory."""
+        and signal the source to reclaim memory.  It runs in an event of the
+        destination (a preemption point or the end of the kernel block),
+        which dispatches the destination afterwards."""
         sim = self.sim
         src = sim.sandbox(job.source)
         dst = sim.sandbox(job.destination)
@@ -360,21 +342,8 @@ class MigrationEngine:
                                          sim.cost.rdtsc_cost, sim.cost.ipi_cost)
         src.drop_vcpu(v)
         dst.adopt_vcpu(v)
-        v.migrating = False
-        v.min_dispatch_budget = 1
-        completion_local = dst.now_local()
-        job.adjusted_events = []
-        for entry in v.repl:
-            entry.t_local = max(entry.t_local + job.delta_adj, completion_local)
-            v._post_repl_event(entry)
-            job.adjusted_events.append(("replenish", entry.t_local))
-        for t in v.tasks:
-            for w in t.pending_wakeups:
-                w.t_local = max(w.t_local + job.delta_adj, completion_local)
-                w.event_id = sim.post_event(
-                    max(sim.now, dst.clock.to_true(w.t_local)), "task-wakeup",
-                    dst.id, t, lambda ev, t=t, w=w: dst._on_wakeup(t, w))
-                job.adjusted_events.append(("wakeup", w.t_local))
+        v.set_dispatch_floor(1)
+        job.adjusted_events = dst.resume_vcpu(v, job.delta_adj)
         space = src.spaces.pop(job.space_id)
         dst.spaces[job.space_id] = space
 
@@ -385,9 +354,7 @@ class MigrationEngine:
                       f"vcpu={v.id};delta_adj={job.delta_adj};"
                       f"d_actual={job.delta_s_actual}")
         sim.send_ipi(dst.id, src.id, job, handler=self._on_completion_ipi)
-        dst.touch()
         src.touch()
 
     def _on_completion_ipi(self, src, dst_id: str, job: MigrationJob):
         self.sim.trace.add(self.sim.now, src.id, "mig_reclaim", job.space_id, "")
-        src.touch()

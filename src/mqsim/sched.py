@@ -157,6 +157,7 @@ class Task:
         if not self.ready and not self.done:
             self.ready = True
             self.vcpu.ready_q.append(self)
+            self.vcpu.note_eligibility()
 
     def leave_ready(self):
         if self.ready:
@@ -165,6 +166,7 @@ class Task:
                 self.vcpu.ready_q.remove(self)
             except ValueError:
                 pass
+            self.vcpu.note_eligibility()
 
 
 @dataclass
@@ -181,7 +183,12 @@ class IoJob:
 
 
 class Vcpu:
-    """Sporadic-server resource container (Main or I/O)."""
+    """Sporadic-server resource container (Main or I/O).
+
+    ``note_eligibility`` records ``eligible()`` wherever one of its inputs
+    changes (budget, queue, ``migrating``, dispatch floor); the scheduler's
+    pick reads that record (``_eligible_since``) instead of evaluating.
+    """
 
     def __init__(self, sandbox, vcpu_id: str, capacity: int, period: int,
                  kind: str = "main", highest_priority: bool = False):
@@ -201,8 +208,8 @@ class Vcpu:
         self.io_jobs: deque[IoJob] = deque()
         self.inherited: dict[str, tuple] = {}
         self._queue = self.io_jobs if kind == "io" else self.ready_q
-        self.migrating = False
-        self.min_dispatch_budget = 1
+        self._migrating = False
+        self._dispatch_floor = 1
         self.chunk_activation_local: int | None = None
         self.chunk_consumed = 0
         self.total_consumed = 0
@@ -220,19 +227,31 @@ class Vcpu:
         return (0 if self.highest_priority else 1, self.period, self.index)
 
     @property
-    def min_dispatch_budget(self) -> int:
-        return self._min_dispatch_budget
+    def migrating(self) -> bool:
+        return self._migrating
 
-    @min_dispatch_budget.setter
-    def min_dispatch_budget(self, value: int):
-        self._min_dispatch_budget = value
-        self._dispatch_floor = min(value, self.capacity)
+    @migrating.setter
+    def migrating(self, flag: bool):
+        self._migrating = flag
+        self.note_eligibility()
+
+    def set_dispatch_floor(self, budget: int):
+        """Dispatch only with at least min(budget, capacity) budget on hand."""
+        floor = min(budget, self.capacity)
+        if floor != self._dispatch_floor:
+            self._dispatch_floor = floor
+            self.note_eligibility()
 
     def eligible(self) -> bool:
-        """Not migrating, work queued, and budget at least
-        min(min_dispatch_budget, capacity)."""
-        return not self.migrating and bool(self._queue) \
+        """Not migrating, work queued, and budget at least the dispatch
+        floor."""
+        return not self._migrating and bool(self._queue) \
             and self.budget >= self._dispatch_floor
+
+    def note_eligibility(self):
+        """Record ``eligible()`` at the current time; called after every
+        change to one of its inputs."""
+        self.record_eligible(self.eligible(), self.sandbox.sim.now)
 
     def current_work(self):
         q = self._queue
@@ -261,6 +280,7 @@ class Vcpu:
         self.budget -= amount
         self.chunk_consumed += amount
         self.total_consumed += amount
+        self.note_eligibility()
 
     def close_chunk(self):
         """End the contiguous execution chunk and queue its replenishment at
@@ -307,6 +327,7 @@ class Vcpu:
         self.budget += entry.amount
         self.repl_fired_total += entry.amount
         assert self.budget <= self.capacity, f"{self.id}: budget over capacity"
+        self.note_eligibility()
         sb = self.sandbox
         sb.sim.trace.add(sb.sim.now, sb.id, "replenish", self.id,
                          f"amount={entry.amount};budget={self.budget}")
@@ -331,6 +352,9 @@ class Vcpu:
             self.exec_intervals.append([start, end])
 
     def record_eligible(self, flag: bool, t: int):
+        """Open or close the eligible interval at ``t``.  Only the last flag
+        recorded at a tick counts: zero-length intervals are dropped and
+        intervals meeting at a tick are merged."""
         if flag and self._eligible_since is None:
             self._eligible_since = t
         elif not flag and self._eligible_since is not None:
@@ -342,8 +366,12 @@ class Vcpu:
                     ivs.append([self._eligible_since, t])
             self._eligible_since = None
 
-    def finish_eligible(self, t: int):
-        self.record_eligible(False, t)
+    def close_eligible(self, t: int):
+        """Write the open eligible interval up to ``t``.  It stays open, so a
+        run that goes on extends it."""
+        if self._eligible_since is not None:
+            self.record_eligible(False, t)
+            self.record_eligible(True, t)
 
 
 def consume_budget(vcpu: Vcpu, amount: int, now_local: int):
@@ -438,7 +466,12 @@ def admit(existing: list[tuple], capacity, period, mode: str = "ll") -> Admissio
 # --- the sandbox scheduler ------------------------------------------------
 
 class Sandbox:
-    """One kernel instance with its own clock, VCPUs, and run queue."""
+    """One kernel instance with its own clock, VCPUs, and run queue.
+
+    ``touch`` is its one dispatch loop.  Code that runs inside it (step
+    completions, migration preemption points, IPI handlers) never touches
+    the same sandbox; the loop or the event that called it dispatches after.
+    """
 
     def __init__(self, sim, sandbox_id: str, clock=None, admission_mode: str = "ll"):
         from mqsim.clock import SandboxClock
@@ -455,11 +488,9 @@ class Sandbox:
         self.blocked_until = 0
         self.pending_ipis: list[tuple[str, object, object]] = []
         self._vcpu_index = 0
-        self._advance_token = 0
         self._advance_event: int | None = None
-        self._touching = False
-        self._retouch = False
-        self._unblock_hook = None
+        self._on_advance_event = lambda ev: self._on_advance()
+        self._timed = None  # the IoJob or step whose ``remaining`` runs down
         self._by_priority: list[Vcpu] = []  # main VCPUs by static priority key
         self._io_vcpus: list[Vcpu] = []
         sim.sandboxes[sandbox_id] = self
@@ -525,20 +556,12 @@ class Sandbox:
     # -- public scheduling ops ----------------------------------------------
 
     def pick_next(self) -> str | None:
+        """The VCPU the scheduler would run now.  Every VCPU's eligibility is
+        recorded first, so state set directly (as tests do) is seen."""
+        for v in self.vcpus.values():
+            v.note_eligibility()
         v = self._pick()
         return v.id if v is not None else None
-
-    def sleep_until(self, task: Task, wake_local: int):
-        task.leave_ready()
-        self.schedule_wake(task, wake_local)
-        self.touch()
-
-    def block_on_io(self, task: Task, latency: int, completion_work: int):
-        task.leave_ready()
-        task.io_blocked = True
-        self.sim.post_event(self.sim.now + latency, "io-completion", self.id,
-                            task, lambda ev: self._on_io_arrival(ev.payload, completion_work))
-        self.touch()
 
     def wakeup(self, task: Task):
         if task.vcpu.migrating:
@@ -557,20 +580,27 @@ class Sandbox:
         self.running.consume(cost, allow_overrun=True)
         self.touch()
 
-    def kernel_block(self, duration: int):
+    def end_poll(self, task: Task, result):
+        """End the busy-wait of ``task``, which is on this sandbox's CPU
+        right now, with ``result`` as the value of its poll."""
+        task.step = None
+        task.pending_result = result
+        self.touch()
+
+    def kernel_block(self, duration: int, then=None):
         """Run kernel-context work with interrupts disabled: nothing is
-        scheduled on this sandbox until it ends."""
-        self._settle()
-        if self.running is not None:
-            self._stop_running()
+        scheduled on this sandbox until it ends.  ``then`` runs when it ends,
+        after queued IPIs are delivered and before the sandbox dispatches."""
+        self._stop_running()
         self.blocked_until = self.sim.now + duration
         self.sim.post_event(self.blocked_until, "kernel-unblock", self.id,
-                            None, lambda ev: self._on_unblock())
+                            None, lambda ev: self._on_unblock(then))
 
     def receive_ipi(self, src: str, payload, handler):
         """IPIs are handled in the kernel; while a monitor section is in
         progress or the kernel is busy they queue until the next preemption
-        point."""
+        point.  The sandbox dispatches after a handler runs, so handlers
+        never touch it themselves."""
         if self.monitor_busy or self.blocked_until > self.sim.now:
             self.pending_ipis.append((src, payload, handler))
             self.sim.trace.add(self.sim.now, self.id, "ipi", src, "queued")
@@ -588,25 +618,61 @@ class Sandbox:
             if handler is not None:
                 handler(self, src, payload)
 
+    def hold_vcpu(self, v: Vcpu):
+        """Detach a VCPU that starts migrating: it stops being eligible, and
+        its pending replenishment and wakeup events are cancelled and held
+        until ``resume_vcpu``."""
+        v.migrating = True
+        for entry in v.repl + [w for t in v.tasks for w in t.pending_wakeups]:
+            if entry.event_id is not None:
+                self.sim.cancel_event(entry.event_id)
+                entry.event_id = None
+
+    def resume_vcpu(self, v: Vcpu, delta_adj: int | None = None) -> list:
+        """Take a VCPU back from migration and post the events it held, first
+        moving their local times by ``delta_adj`` (to no earlier than now) if
+        given.  Returns the (kind, local time) of each posted event."""
+        v.migrating = False
+        now_local = self.now_local()
+        posted = []
+        for entry in v.repl:
+            if delta_adj is not None:
+                entry.t_local = max(entry.t_local + delta_adj, now_local)
+            v._post_repl_event(entry)
+            posted.append(("replenish", entry.t_local))
+        for t in v.tasks:
+            for w in t.pending_wakeups:
+                if delta_adj is not None:
+                    w.t_local = max(w.t_local + delta_adj, now_local)
+                self._post_wake(t, w)
+                posted.append(("wakeup", w.t_local))
+        return posted
+
+    def close_run(self):
+        """Close the open execution chunk and eligible intervals at now, so
+        post-run bookkeeping (conservation, intervals) is exact."""
+        self._stop_running()
+        for v in self.vcpus.values():
+            v.close_eligible(self.sim.now)
+
     # -- internals ------------------------------------------------------------
 
     def schedule_wake(self, task: Task, wake_local: int):
         """Queue a local-time wakeup.  Wakeups of a migrating VCPU stay
-        pending (no event) until the migration completes and re-posts them."""
+        pending (no event) until ``resume_vcpu`` posts them."""
         entry = PendingWake(wake_local)
         task.pending_wakeups.append(entry)
-        if task.vcpu.migrating:
-            return
-        fire = max(self.sim.now, self.clock.to_true(wake_local))
+        if not task.vcpu.migrating:
+            self._post_wake(task, entry)
+
+    def _post_wake(self, task: Task, entry: PendingWake):
+        fire = max(self.sim.now, self.clock.to_true(entry.t_local))
         entry.event_id = self.sim.post_event(
             fire, "task-wakeup", self.id, task,
             lambda ev: self._on_wakeup(task, entry))
 
     def _on_wakeup(self, task: Task, entry: PendingWake):
         if entry not in task.pending_wakeups:
-            return
-        if task.vcpu.migrating:
-            entry.event_id = None
             return
         task.pending_wakeups.remove(entry)
         task.make_ready()
@@ -623,110 +689,70 @@ class Sandbox:
         io_vcpu = self._io_vcpus[0]
         io_vcpu.io_jobs.append(IoJob(task, completion_work))
         inherit_priority(io_vcpu, task.vcpu, token=task.id)
+        io_vcpu.note_eligibility()
         self.touch()
 
-    def _on_unblock(self):
+    def _on_unblock(self, then):
         self.drain_ipis()
-        hook = self._unblock_hook
-        if hook is not None:
-            self._unblock_hook = None
-            hook()
+        if then is not None:
+            then()
         self.touch()
 
     def _pick(self) -> Vcpu | None:
         """The eligible VCPU with the smallest priority key, ties going to
-        the earlier one in ``vcpus``."""
-        best = next((v for v in self._by_priority if v.eligible()), None)
+        the earlier one in ``vcpus``.  Eligibility is read from the record
+        that ``Vcpu.note_eligibility`` keeps current."""
+        best = None
+        for v in self._by_priority:
+            if v._eligible_since is not None:
+                best = v
+                break
         if not self._io_vcpus:
             return best
         best_key = (best.priority_key(), best._slot) if best is not None else None
         for v in self._io_vcpus:
-            if v.eligible():
+            if v._eligible_since is not None:
                 key = (v.priority_key(), v._slot)
                 if best_key is None or key < best_key:
                     best, best_key = v, key
         return best
 
     def touch(self):
-        if self._touching:
-            self._retouch = True
-            return
-        self._touching = True
-        try:
-            while True:
-                self._retouch = False
-                self._settle()
-                self._schedule()
-                self._refresh_eligibility()
-                if not self._retouch:
-                    break
-        finally:
-            self._touching = False
-
-    def _refresh_eligibility(self):
-        """Record eligibility changes at ``now``.  Once per touch is enough:
-        every refresh of a touch sees the same ``now``, and ``record_eligible``
-        keeps only the last flag at a tick (zero-length intervals are dropped,
-        intervals meeting at a tick are merged)."""
-        t = self.sim.now
-        for v in self.vcpus.values():
-            v.record_eligible(v.eligible(), t)
-
-    def _settle(self):
-        if self.running is None:
-            self.chunk_start_true = self.sim.now
-            return
-        dt = self.sim.now - self.chunk_start_true
-        if dt == 0:
-            return
-        v = self.running
-        work = v.current_work()
-        allow = isinstance(getattr(work, "step", None), MonitorChunk)
-        v.consume(dt, allow_overrun=allow)
-        v.record_exec(self.chunk_start_true, self.sim.now)
-        self.chunk_start_true = self.sim.now
-        if isinstance(work, IoJob):
-            work.remaining -= dt
-        elif work is not None and work.step is not None:
-            st = work.step
-            if isinstance(st, (Compute, Send, MonitorChunk)):
-                st.remaining -= dt
-                assert st.remaining >= 0
-
-    def _schedule(self):
-        guard = 0
+        """Settle the running VCPU up to now, then loop: pick, switch, complete
+        the zero-length steps, and arm the advance.  A VCPU left without timed
+        work is stopped and the loop picks again; a newly started one must
+        survive a second pick, as its completed steps can wake others."""
+        self._settle()
         while True:
-            guard += 1
-            if guard > 1000:
-                raise RuntimeError("scheduler did not settle")
-            blocked = self.blocked_until > self.sim.now
-            best = None if blocked else self._pick()
-            if best is self.running:
-                if best is None:
-                    self._cancel_advance()
-                    return
-                if not self._resolve_instant(best):
-                    self._stop_running()
-                    continue
-                if self._retouch:
-                    return
-                self._arm_advance(best)
-                return
-            if self.running is not None:
+            best = None if self.blocked_until > self.sim.now else self._pick()
+            started = best is not self.running
+            if started:
                 self._stop_running()
+                if best is not None:
+                    self._start_running(best)
             if best is None:
                 self._cancel_advance()
                 return
-            self._start_running(best)
             if not self._resolve_instant(best):
                 self._stop_running()
-                continue
-            if self._retouch:
+            elif not started or self._pick() is best:
+                self._arm_advance(best)
                 return
-            if self._pick() is not best:
-                continue
-            self._arm_advance(best)
+
+    def _settle(self):
+        """Charge the running VCPU for the time since its last settle."""
+        v = self.running
+        if v is None:
             return
+        now = self.sim.now
+        dt = now - self.chunk_start_true
+        if dt:
+            v.consume(dt, allow_overrun=self.monitor_busy)
+            if self._timed is not None:
+                self._timed.remaining -= dt
+                assert self._timed.remaining >= 0
+            v.record_exec(self.chunk_start_true, now)
+            self.chunk_start_true = now
 
     def _start_running(self, v: Vcpu):
         self.running = v
@@ -757,52 +783,43 @@ class Sandbox:
             self._advance_event = None
 
     def _arm_advance(self, v: Vcpu):
+        """Post the event at which ``v``'s current step or budget runs out,
+        replacing the one armed before.  A monitor chunk runs to its end."""
         self._cancel_advance()
         work = v.current_work()
-        if isinstance(work, IoJob):
-            dur = min(v.budget, work.remaining)
+        timed = work if isinstance(work, IoJob) else work.step
+        self.monitor_busy = isinstance(timed, MonitorChunk)
+        if self.monitor_busy:
+            dur = timed.remaining
+        elif isinstance(timed, PollWait):  # budget-bound busy wait
+            timed = None
+            dur = v.budget
         else:
-            st = work.step
-            if isinstance(st, MonitorChunk):
-                self.monitor_busy = True
-                dur = st.remaining
-            elif isinstance(st, (Compute, Send)):
-                self.monitor_busy = False
-                dur = min(v.budget, st.remaining)
-            else:  # PollWait: budget-bound busy wait
-                self.monitor_busy = False
-                dur = v.budget
+            dur = min(v.budget, timed.remaining)
         assert dur > 0
-        self._advance_token += 1
-        token = self._advance_token
+        self._timed = timed
         self._advance_event = self.sim.post_event(
-            self.sim.now + dur, "advance", self.id, token,
-            lambda ev: self._on_advance(token))
+            self.sim.now + dur, "advance", self.id, None, self._on_advance_event)
 
-    def _on_advance(self, token: int):
-        if token != self._advance_token or self.running is None:
-            return
+    def _on_advance(self):
+        """The running VCPU's step or budget ran out: complete the step, stop
+        the VCPU if its budget is gone, and dispatch."""
         self._advance_event = None
         self._settle()
-        v = self.running
-        work = v.current_work()
-        if isinstance(work, IoJob):
-            if work.remaining == 0:
+        v, timed = self.running, self._timed
+        if timed is not None and timed.remaining == 0:
+            if isinstance(timed, IoJob):
                 self._complete_io(v)
-        elif work is not None and work.step is not None:
-            st = work.step
-            if isinstance(st, (Compute, Send, MonitorChunk)) and st.remaining == 0:
+            else:
                 self._complete_step(v)
-        if self.running is v and v.budget <= 0:
-            work = v.current_work()
-            in_monitor = isinstance(getattr(work, "step", None), MonitorChunk)
-            if not in_monitor:
-                self._stop_running()
+        if self.running is v and v.budget <= 0 and not self.monitor_busy:
+            self._stop_running()
         self.touch()
 
     def _complete_io(self, v: Vcpu):
         job = v.io_jobs.popleft()
         v.inherited.pop(job.task.id, None)
+        v.note_eligibility()
         job.task.io_blocked = False
         job.task.make_ready()
         self.sim.trace.add(self.sim.now, self.id, "io_done", job.task.id, "")
@@ -820,39 +837,29 @@ class Sandbox:
             task.pending_result = None
 
     def _resolve_instant(self, v: Vcpu) -> bool:
-        """Complete all zero-duration work for the VCPU about to run; returns
-        whether it still has dispatchable demand."""
-        guard = 0
+        """Complete the zero-length work at the head of ``v``'s queue:
+        finished steps, steps not yet installed, and polls whose message has
+        landed.  Returns whether ``v`` still has work that takes time."""
         while True:
-            guard += 1
-            if guard > 100000:
-                raise RuntimeError("instant-step resolution did not settle")
             work = v.current_work()
             if work is None:
                 return False
             if isinstance(work, IoJob):
-                if work.remaining == 0:
-                    self._complete_io(v)
-                    continue
+                if work.remaining:
+                    return True
+                self._complete_io(v)
+            elif work.step is None:
+                self._install_next(work)
+            elif isinstance(work.step, PollWait):
+                msg = work.step.channel.take(work)
+                if msg is None:
+                    return True
+                work.step = None
+                work.pending_result = msg
+            elif work.step.remaining:
                 return True
-            task = work
-            if task.step is None:
-                self._install_next(task)
-                continue
-            st = task.step
-            if isinstance(st, PollWait):
-                msg = st.channel.take(task)
-                if msg is not None:
-                    task.step = None
-                    task.pending_result = msg
-                    continue
-                return True
-            if isinstance(st, (Compute, Send, MonitorChunk)):
-                if st.remaining == 0:
-                    self._complete_step(v)
-                    continue
-                return True
-            raise AssertionError(f"unexpected installed step {st}")
+            else:
+                self._complete_step(v)
 
     def _install_next(self, task: Task):
         try:
@@ -862,28 +869,20 @@ class Sandbox:
             task.leave_ready()
             return
         task.pending_result = None
-        if isinstance(st, Compute):
-            task.step = st
-        elif isinstance(st, Send):
+        if isinstance(st, Send):
             st.remaining = st.channel.send_work(task, st.nbytes)
+        if isinstance(st, (Compute, Send, PollWait, MonitorChunk)):
             task.step = st
-        elif isinstance(st, PollWait):
-            task.step = st
-        elif isinstance(st, MonitorChunk):
-            task.step = st
-        elif isinstance(st, SleepUntil):
-            task.leave_ready()
+            return
+        if not isinstance(st, (SleepUntil, SleepFor, BlockIo, Park)):
+            raise AssertionError(f"unknown step {st}")
+        task.leave_ready()
+        if isinstance(st, SleepUntil):
             self.schedule_wake(task, st.t_local)
         elif isinstance(st, SleepFor):
-            task.leave_ready()
             self.schedule_wake(task, self.now_local() + st.dt)
         elif isinstance(st, BlockIo):
-            task.leave_ready()
             task.io_blocked = True
             self.sim.post_event(
                 self.sim.now + st.latency, "io-completion", self.id, task,
-                lambda ev, w=st.completion_work: self._on_io_arrival(ev.payload, w))
-        elif isinstance(st, Park):
-            task.leave_ready()
-        else:
-            raise AssertionError(f"unknown step {st}")
+                lambda ev, w=st.completion_work: self._on_io_arrival(task, w))

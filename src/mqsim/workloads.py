@@ -8,6 +8,10 @@ from __future__ import annotations
 def busy_loop(iteration_cost: int):
     """CPU-bound loop counting completed fixed-cost iterations (the frame
     processing stand-in)."""
+    if iteration_cost <= 0:
+        raise ValueError("iteration_cost must be positive: a free iteration "
+                         "never lets simulated time pass")
+
     def program(api):
         while True:
             yield api.compute(iteration_cost)

@@ -62,6 +62,10 @@ class TestEstablish:
         with pytest.raises(ValueError):
             prof.request_work()
 
+    def test_free_exchange_rejected(self):
+        with pytest.raises(ValueError):
+            ExchangeProfile(n_bytes=0, m_bytes=0, k=0)
+
 
 class TestMailbox:
     def test_poll_empty_returns_none(self):

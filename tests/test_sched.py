@@ -12,6 +12,7 @@ from mqsim.metrics import (IntervalSet, budget_law_violations, finish_run,
 from mqsim.sched import (REPL_QUEUE_CAP, IoJob, Sandbox, Vcpu, admit,
                          consume_budget, inherit_priority, restore_priority)
 from mqsim.workloads import busy_loop, io_cycle
+from trace_corpus import CORPUS_SEEDS, run_setup
 
 
 def mini(admission="ll"):
@@ -26,6 +27,10 @@ class TestVcpuBasics:
             sb.add_vcpu("bad", 30, 20)
         with pytest.raises(MalformedVcpu):
             sb.add_vcpu("bad2", 0, 20)
+
+    def test_free_busy_loop_rejected(self):
+        with pytest.raises(ValueError):
+            busy_loop(0)
 
     def test_rate_monotonic_pick(self):
         sim, sb = mini()
@@ -66,6 +71,32 @@ class TestVcpuBasics:
         finish_run(sim)
         assert a.eligible_intervals == [] and a.exec_intervals == []
         assert b.eligible_intervals == [[0, 15]]
+
+    @staticmethod
+    def _check_record_after_touch(monkeypatch) -> list:
+        """Patch ``Sandbox.touch`` to compare, after each call, every VCPU's
+        recorded eligibility with ``Vcpu.eligible``; returns the mismatches."""
+        bad = []
+        touch = Sandbox.touch
+
+        def checked(sb):
+            touch(sb)
+            bad.extend((sb.sim.now, v.id) for v in sb.vcpus.values()
+                       if (v._eligible_since is not None) != v.eligible())
+        monkeypatch.setattr(Sandbox, "touch", checked)
+        return bad
+
+    def test_record_follows_predicate_on_table1(self, monkeypatch):
+        from mqsim.experiments import run_table1
+        bad = self._check_record_after_touch(monkeypatch)
+        run_table1(migrate=True)
+        assert bad == []
+
+    def test_record_follows_predicate_on_random_setups(self, monkeypatch):
+        bad = self._check_record_after_touch(monkeypatch)
+        for seed in CORPUS_SEEDS[:20]:
+            run_setup(seed)
+        assert bad == []
 
     def test_highest_priority_flag_beats_shorter_period(self):
         sim, sb = mini()
