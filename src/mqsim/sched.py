@@ -162,10 +162,7 @@ class Task:
     def leave_ready(self):
         if self.ready:
             self.ready = False
-            try:
-                self.vcpu.ready_q.remove(self)
-            except ValueError:
-                pass
+            self.vcpu.ready_q.remove(self)
             self.vcpu.note_eligibility()
 
 
@@ -188,6 +185,7 @@ class Vcpu:
     ``note_eligibility`` records ``eligible()`` wherever one of its inputs
     changes (budget, queue, ``migrating``, dispatch floor); the scheduler's
     pick reads that record (``_eligible_since``) instead of evaluating.
+    ``migrating`` is set only by ``Sandbox.hold_vcpu``/``resume_vcpu``.
     """
 
     def __init__(self, sandbox, vcpu_id: str, capacity: int, period: int,
@@ -208,7 +206,7 @@ class Vcpu:
         self.io_jobs: deque[IoJob] = deque()
         self.inherited: dict[str, tuple] = {}
         self._queue = self.io_jobs if kind == "io" else self.ready_q
-        self._migrating = False
+        self.migrating = False
         self._dispatch_floor = 1
         self.chunk_activation_local: int | None = None
         self.chunk_consumed = 0
@@ -226,15 +224,6 @@ class Vcpu:
             return min(self.inherited.values()) if self.inherited else _BACKGROUND
         return (0 if self.highest_priority else 1, self.period, self.index)
 
-    @property
-    def migrating(self) -> bool:
-        return self._migrating
-
-    @migrating.setter
-    def migrating(self, flag: bool):
-        self._migrating = flag
-        self.note_eligibility()
-
     def set_dispatch_floor(self, budget: int):
         """Dispatch only with at least min(budget, capacity) budget on hand."""
         floor = min(budget, self.capacity)
@@ -245,7 +234,7 @@ class Vcpu:
     def eligible(self) -> bool:
         """Not migrating, work queued, and budget at least the dispatch
         floor."""
-        return not self._migrating and bool(self._queue) \
+        return not self.migrating and bool(self._queue) \
             and self.budget >= self._dispatch_floor
 
     def note_eligibility(self):
@@ -623,6 +612,7 @@ class Sandbox:
         its pending replenishment and wakeup events are cancelled and held
         until ``resume_vcpu``."""
         v.migrating = True
+        v.note_eligibility()
         for entry in v.repl + [w for t in v.tasks for w in t.pending_wakeups]:
             if entry.event_id is not None:
                 self.sim.cancel_event(entry.event_id)
@@ -633,6 +623,7 @@ class Sandbox:
         moving their local times by ``delta_adj`` (to no earlier than now) if
         given.  Returns the (kind, local time) of each posted event."""
         v.migrating = False
+        v.note_eligibility()
         now_local = self.now_local()
         posted = []
         for entry in v.repl:
@@ -699,9 +690,8 @@ class Sandbox:
         self.touch()
 
     def _pick(self) -> Vcpu | None:
-        """The eligible VCPU with the smallest priority key, ties going to
-        the earlier one in ``vcpus``.  Eligibility is read from the record
-        that ``Vcpu.note_eligibility`` keeps current."""
+        """The eligible VCPU (by its eligibility record) with the smallest
+        priority key, ties going to the earlier one in ``vcpus``."""
         best = None
         for v in self._by_priority:
             if v._eligible_since is not None:
@@ -837,9 +827,9 @@ class Sandbox:
             task.pending_result = None
 
     def _resolve_instant(self, v: Vcpu) -> bool:
-        """Complete the zero-length work at the head of ``v``'s queue:
-        finished steps, steps not yet installed, and polls whose message has
-        landed.  Returns whether ``v`` still has work that takes time."""
+        """Complete the zero-length work at the head of ``v``'s queue (finished
+        steps, steps to install, polls whose message landed); return whether
+        ``v`` still has work that takes time."""
         while True:
             work = v.current_work()
             if work is None:
