@@ -187,10 +187,11 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from mqsim.acceptance import CRITERIA, run_criterion
+    from mqsim.acceptance import CRITERIA, Runs, run_criterion
     failed = 0
+    runs = Runs()
     for name, _ in CRITERIA:
-        r = run_criterion(name, fast=args.fast)
+        r = run_criterion(name, fast=args.fast, runs=runs)
         if args.json:
             print(json.dumps({"name": r.name, "passed": r.passed,
                               "elapsed": round(r.elapsed, 3),

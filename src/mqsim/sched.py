@@ -829,7 +829,8 @@ class Sandbox:
     def _resolve_instant(self, v: Vcpu) -> bool:
         """Complete the zero-length work at the head of ``v``'s queue (finished
         steps, steps to install, polls whose message landed); return whether
-        ``v`` still has work that takes time."""
+        ``v`` may now run timed work.  A completed step can make ``v``
+        ineligible: a preemption point short of budget raises its floor."""
         while True:
             work = v.current_work()
             if work is None:
@@ -850,6 +851,8 @@ class Sandbox:
                 return True
             else:
                 self._complete_step(v)
+                if v._eligible_since is None:
+                    return False
 
     def _install_next(self, task: Task):
         try:

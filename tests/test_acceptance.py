@@ -11,7 +11,8 @@ overshot.
 
 import pytest
 
-from mqsim.acceptance import CRITERIA, _fig12_overshoot, _overshoot, run_criterion
+from mqsim.acceptance import (CRITERIA, Runs, _fig12_overshoot, _overshoot,
+                              run_criterion)
 
 RUNTIME_LIMITS_S = {
     "1-migration-bound-golden-values": 1.0,
@@ -23,9 +24,15 @@ RUNTIME_LIMITS_S = {
 }
 
 
+@pytest.fixture(scope="module")
+def runs():
+    """One memo for the module, as one ``mqsim verify`` invocation has."""
+    return Runs()
+
+
 @pytest.mark.parametrize("name", [name for name, _ in CRITERIA])
-def test_criterion(name):
-    result = run_criterion(name)
+def test_criterion(name, runs):
+    result = run_criterion(name, runs=runs)
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] {result.name} ({result.elapsed:.1f}s) {result.detail}")
     limit = RUNTIME_LIMITS_S.get(name)

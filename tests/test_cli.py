@@ -105,7 +105,7 @@ class TestVerifyCli:
     def test_json_lines(self, capsys, monkeypatch):
         from mqsim import acceptance
         cheap = acceptance.CRITERIA[:2] + [
-            ("always-fails", lambda fast=False: (False, "forced failure"))]
+            ("always-fails", lambda runs, fast=False: (False, "forced failure"))]
         monkeypatch.setattr(acceptance, "CRITERIA", cheap)
         rc = main(["verify", "--json"])
         assert rc == 1
