@@ -107,24 +107,6 @@ class IntervalSet:
         return self.overlap(lo, hi) == hi - lo
 
 
-def work_in_window(intervals, lo: int, hi: int) -> int:
-    return IntervalSet(intervals).overlap(lo, hi)
-
-
-def sliding_window_max(intervals, width: int) -> int:
-    """Largest total execution inside any window of the given width.
-
-    The maximum over all window positions is attained with the window start
-    at an interval start or the window end at an interval end, so only those
-    candidates are evaluated.
-    """
-    ivs = IntervalSet(intervals)
-    best = 0
-    for a, b in zip(ivs.starts, ivs.ends):
-        best = max(best, ivs.overlap(a, a + width), ivs.overlap(b - width, b))
-    return best
-
-
 def budget_law_violations(vcpu, allowance: int = 0) -> list:
     """Sliding-window check: no more than C (+allowance) execution in any
     window of length T."""

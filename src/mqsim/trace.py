@@ -48,17 +48,5 @@ class SimTrace:
     def hash(self) -> int:
         return fnv1a64(self.to_csv().encode())
 
-    def filter(self, kind: str = None, entity: str = None, sandbox: str = None):
-        out = []
-        for r in self.rows:
-            if kind is not None and r.kind != kind:
-                continue
-            if entity is not None and r.entity != entity:
-                continue
-            if sandbox is not None and r.sandbox != sandbox:
-                continue
-            out.append(r)
-        return out
-
     def __len__(self):
         return len(self.rows)
