@@ -4,11 +4,12 @@ the simulator, shared by ``mqsim verify`` and the test suite.
 The criteria of one ``verify`` invocation share its scenario runs through
 a ``Runs`` memo, so each distinct run is simulated once; criterion 9 scans
 its own explicit list of runs.  Every criterion is evaluated against its
-stated tolerance and reports its counterexamples.  Criteria 3 and 4 check the sound segment-wise round-trip
-bound (``rtt_bound``): the oracle against its ``completion`` total, the
-simulator against its ``observed`` total.  A failure names the segment
-(request, response or observation) that overshot at the worst point, and
-both report how often the paper variant's W' is exceeded.
+stated tolerance and reports its counterexamples.  Criteria 3 and 4 check
+the sound segment-wise round-trip bound (``rtt_bound``): the oracle against
+its ``completion`` total, the simulator against its ``observed`` total.
+A failure names the segment (request, response or observation) that
+overshot at the worst point, and both report how often the paper variant's
+W' is exceeded.
 """
 
 from __future__ import annotations
@@ -50,12 +51,12 @@ class Runs:
             self._done[key] = run_table1(**kwargs)
         return self._done[key]
 
-    def fig12(self, fast: bool) -> dict:
-        key = ("fig12", fast)
+    def fig12(self, exchanges: int, grid: int) -> dict:
+        """``experiments.experiment_fig12(exchanges=, grid=)``, run once."""
+        key = ("fig12", exchanges, grid)
         if key not in self._done:
             from mqsim.experiments import experiment_fig12
-            self._done[key] = experiment_fig12(exchanges=2000 if fast else 10_000,
-                                               grid=10 if fast else 20)
+            self._done[key] = experiment_fig12(exchanges=exchanges, grid=grid)
         return self._done[key]
 
 
@@ -160,7 +161,7 @@ def _fig12_overshoot(case: str, ex: dict) -> str:
 def crit_fig12(runs, fast=False):
     from mqsim.experiments import fig12_worst_exchange
     grid = 10 if fast else 20
-    rows = runs.fig12(fast)["rows"]
+    rows = runs.fig12(2000 if fast else 10_000, grid)["rows"]
     sound = all(r["within_bound"] for r in rows)
     tight = all(r["tight"] for r in rows)
     over_paper = sum(r["observed_max"] > r["W_shifted"] for r in rows)

@@ -478,7 +478,7 @@ class Sandbox:
         self.pending_ipis: list[tuple[str, object, object]] = []
         self._vcpu_index = 0
         self._advance_event: int | None = None
-        self._on_advance_event = lambda ev: self._on_advance()
+        self._advance_handler = lambda ev: self._on_advance()
         self._timed = None  # the IoJob or step whose ``remaining`` runs down
         self._by_priority: list[Vcpu] = []  # main VCPUs by static priority key
         self._io_vcpus: list[Vcpu] = []
@@ -789,7 +789,7 @@ class Sandbox:
         assert dur > 0
         self._timed = timed
         self._advance_event = self.sim.post_event(
-            self.sim.now + dur, "advance", self.id, None, self._on_advance_event)
+            self.sim.now + dur, "advance", self.id, None, self._advance_handler)
 
     def _on_advance(self):
         """The running VCPU's step or budget ran out: complete the step, stop
