@@ -306,12 +306,10 @@ CRITERIA = [
 ]
 
 
-def run_criterion(name: str, fast: bool = False,
-                  runs: Runs | None = None) -> CriterionResult:
-    """Evaluate one criterion; pass the same ``runs`` to share scenario runs
-    between the criteria of one invocation."""
+def run_criterion(name: str, runs: Runs, fast: bool = False) -> CriterionResult:
+    """Evaluate one criterion; the criteria of one invocation share ``runs``."""
     fn = dict(CRITERIA)[name]
     t0 = time.time()
-    passed, detail = fn(Runs() if runs is None else runs, fast=fast)
+    passed, detail = fn(runs, fast=fast)
     return CriterionResult(name, passed, detail, time.time() - t0)
 

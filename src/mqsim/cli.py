@@ -191,7 +191,7 @@ def _cmd_verify(args) -> int:
     failed = 0
     runs = Runs()
     for name, _ in CRITERIA:
-        r = run_criterion(name, fast=args.fast, runs=runs)
+        r = run_criterion(name, runs, fast=args.fast)
         if args.json:
             print(json.dumps({"name": r.name, "passed": r.passed,
                               "elapsed": round(r.elapsed, 3),

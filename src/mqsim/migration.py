@@ -236,7 +236,7 @@ class MigrationEngine:
             job.delta_s_actual = total
             self.sim.trace.add(self.sim.now, dst.id, "mig_admit", job.space_id,
                                f"mode=ipi-handler;block_us={total}")
-            dst.kernel_block(total, then=lambda: self.finalize(job))
+            dst.kernel_block(total, lambda: self.finalize(job))
             return
         job.state = "at-destination"
         _, task = self.threads[dst.id]

@@ -576,10 +576,11 @@ class Sandbox:
         task.pending_result = result
         self.touch()
 
-    def kernel_block(self, duration: int, then=None):
+    def kernel_block(self, duration: int, then):
         """Run kernel-context work with interrupts disabled: nothing is
-        scheduled on this sandbox until it ends.  ``then`` runs when it ends,
-        after queued IPIs are delivered and before the sandbox dispatches."""
+        scheduled on this sandbox until it ends.  ``then()`` runs when it
+        ends, after queued IPIs are delivered and before the sandbox
+        dispatches."""
         self._stop_running()
         self.blocked_until = self.sim.now + duration
         self.sim.post_event(self.blocked_until, "kernel-unblock", self.id,
@@ -685,8 +686,7 @@ class Sandbox:
 
     def _on_unblock(self, then):
         self.drain_ipis()
-        if then is not None:
-            then()
+        then()
         self.touch()
 
     def _pick(self) -> Vcpu | None:

@@ -32,7 +32,7 @@ def runs():
 
 @pytest.mark.parametrize("name", [name for name, _ in CRITERIA])
 def test_criterion(name, runs):
-    result = run_criterion(name, runs=runs)
+    result = run_criterion(name, runs)
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] {result.name} ({result.elapsed:.1f}s) {result.detail}")
     limit = RUNTIME_LIMITS_S.get(name)
