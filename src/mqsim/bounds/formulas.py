@@ -311,7 +311,7 @@ class RttBound:
 
     Send offsets range over multiples of ``tick``, the finest grid on which
     every parameter is a whole number (1 for integer inputs, as in the
-    simulator).  The oracle at any resolution visits a subset of them."""
+    simulator).  The oracle sweeps the same offsets."""
     inp: CommBoundInput
     tick: Fraction
     worst_completion: RttSegments

@@ -11,29 +11,22 @@ The sweep is separable.  A send at ``sigma`` ends its request at
 ``te(sigma)`` whatever the phase, and the response then takes
 ``D(x) = _resp_end(..., phi, te, m) - te``, which depends only on the
 request's end offset ``x = (te - phi) mod T_d`` in the receiver's period.
-So one loop over ``x`` in [0, T_d) tabulates ``D``, and one loop over
-``sigma`` adds to ``te - sigma`` the worst ``D`` its phases can reach:
-O(C_s + T_d) helper calls per input instead of O(C_s * T_d), with the same
-maximum as the two-dimensional (phi, sigma) grid.
+Every phase is swept, so every send meets every ``x``, and the maximum is
+the longest request ``te - sigma`` over ``sigma`` plus the worst ``D`` over
+``x`` in [0, T_d): O(C_s + T_d) helper calls per input instead of
+O(C_s * T_d), with the same maximum as the two-dimensional (phi, sigma)
+grid.
 
-At ``resolution`` r > 1 the grid is ``sigma`` in range(0, C_s, r) and
-``phi`` in range(0, T_d, r), as in a two-dimensional sweep, and the result
-is exactly that grid's maximum, at most the resolution-1 value.  When r
-divides T_d those phases are every multiple of r modulo T_d, so a send meets
-the worst ``D`` over the offsets congruent to its request end mod r.
-Otherwise each send takes the maximum over its own phases, which costs
-O(C_s * T_d / r**2) lookups in the table of ``D``.  At r = 1 every phase is
-covered and the worst response is ``max D`` for every send offset.
+The sweep runs on the inputs' common tick (``CommBoundInput.ticks``), so a
+rational input is swept exactly: every phase and send offset the windows can
+take is a whole number of those ticks.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
 from fractions import Fraction
 
 from mqsim.bounds.formulas import CommBoundInput
-from mqsim.errors import ResolutionTooCoarse
 
 
 def _send_end(c_s: int, t_s: int, n: int, sigma: int) -> int:
@@ -68,21 +61,14 @@ def _resp_end(c_d: int, t_d: int, phi: int, t0: int, work: int) -> int:
     return t + avail + (t_d - c_d) + k1 * t_d + last
 
 
-def _worst(c_s, t_s, c_d, t_d, n, m, res):
-    """Largest round trip on the ``res`` grid, with the first send offset
-    that reaches it and that send's request and response times."""
-    d = [_resp_end(c_d, t_d, 0, x, m) - x for x in range(t_d)]
-    sigmas = range(0, c_s, res)
-    req = [_send_end(c_s, t_s, n, s) - s for s in sigmas]
-    if t_d % res == 0:  # the phases are every multiple of res mod T_d
-        top = [max(d[r::res]) for r in range(res)]
-        resp = [top[(q + s) % res] for q, s in zip(req, sigmas)]
-    else:  # the phases do not tile the period: scan each send's own
-        resp = [max(d[(q + s - p) % t_d] for p in range(0, t_d, res))
-                for q, s in zip(req, sigmas)]
-    total = [q + r for q, r in zip(req, resp)]
-    i = total.index(max(total))
-    return total[i], sigmas[i], req[i], resp[i]
+def _worst(c_s, t_s, c_d, t_d, n, m):
+    """Largest round trip, with the first send offset that reaches it and
+    that send's request and response times: the longest request over the
+    send offsets plus the longest response over the offsets in [0, T_d)."""
+    response = max(_resp_end(c_d, t_d, 0, x, m) - x for x in range(t_d))
+    req = [_send_end(c_s, t_s, n, s) - s for s in range(c_s)]
+    request = max(req)
+    return request + response, req.index(request), request, response
 
 
 def sweep_backend_name() -> str:
@@ -90,39 +76,24 @@ def sweep_backend_name() -> str:
     return "separable"
 
 
-def _on_grid(inp: CommBoundInput, resolution: int):
-    """Common integer tick, the parameters in that tick, and the step."""
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1 tick")
-    scale, vals = inp.ticks()
-    return scale, vals, resolution * scale
-
-
 def brute_force_worst_rtt(inp: CommBoundInput, resolution: int = 1) -> Fraction:
-    """Largest round trip over the (phi, sigma) grid at ``resolution``.
-
-    Rational inputs are rescaled to a common integer tick, swept exactly, and
-    scaled back, so the result is exact at resolution 1.  Emits a
-    ``ResolutionTooCoarse`` warning when the step cannot hit every distinct
-    alignment of the inputs.
-    """
-    scale, (c_s, t_s, c_d, t_d, n, m), res = _on_grid(inp, resolution)
-
-    params = [v for v in (c_s, t_s, c_d, t_d, n, m) if v]
-    if res > math.gcd(*params):
-        warnings.warn(
-            f"resolution {resolution} exceeds the parameter gcd; "
-            "the sweep may miss the true maximum", ResolutionTooCoarse)
-
-    return Fraction(_worst(c_s, t_s, c_d, t_d, n, m, res)[0], scale)
+    """Largest round trip over every receiver phase and in-budget send
+    offset.  Rational inputs are rescaled to their common integer tick,
+    swept exactly, and scaled back.  ``resolution`` must be 1 (the sweep
+    always steps by one common tick); any other value raises ValueError."""
+    if resolution != 1:
+        raise ValueError("the sweep steps by the inputs' common tick: "
+                         "resolution must be 1")
+    scale, vals = inp.ticks()
+    return Fraction(_worst(*vals)[0], scale)
 
 
 def worst_point(inp: CommBoundInput) -> dict:
-    """Split of the resolution-1 maximum, for explaining a bound that falls
-    short: ``sigma`` is the first send offset with the longest request
+    """Split of the maximum, for explaining a bound that falls short:
+    ``sigma`` is the first send offset with the longest request
     (``te - sigma``), and ``response`` is the worst response over every
     phase.  Any (phi, sigma) pair that reaches the maximum has both."""
-    scale, (c_s, t_s, c_d, t_d, n, m), res = _on_grid(inp, 1)
-    _, sigma, request, response = _worst(c_s, t_s, c_d, t_d, n, m, res)
+    scale, vals = inp.ticks()
+    _, sigma, request, response = _worst(*vals)
     return {"sigma": Fraction(sigma, scale), "request": Fraction(request, scale),
             "response": Fraction(response, scale)}

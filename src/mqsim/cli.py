@@ -3,7 +3,7 @@
     mqsim run <scenario.json|table1> [--until S] [--out DIR]
     mqsim experiment <fig9|fig10|fig11|fig12|tables> [--out DIR]
     mqsim bounds comm --cs .. --ts .. --cd .. --td .. --req .. --resp ..
-                      [--k ..] [--oracle] [--resolution T]
+                      [--k ..] [--oracle]
     mqsim bounds migration --delta .. --cm .. --tm .. [--es ..]
     mqsim bounds adjust --tscd .. --tscs .. --rdtsc .. --ipi ..
     mqsim verify [--fast] [--json]
@@ -53,7 +53,6 @@ def main(argv=None) -> int:
         p_comm.add_argument(f"--{flag}", required=True)
     p_comm.add_argument("--k", default="0")
     p_comm.add_argument("--oracle", action="store_true")
-    p_comm.add_argument("--resolution", type=int, default=1)
 
     p_mig = bsub.add_parser("migration", help="migration-cost criterion")
     p_mig.add_argument("--delta", required=True)
@@ -131,10 +130,6 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _fr(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _flat(d: dict, prefix: str = ""):
     """(dotted key, value) rows of a nested dict."""
     for key, val in d.items():
@@ -146,15 +141,16 @@ def _flat(d: dict, prefix: str = ""):
 
 def _cmd_bounds(args) -> int:
     if args.bounds_command == "comm":
-        inp = CommBoundInput.from_work(_fr(args.cs), _fr(args.ts), _fr(args.cd),
-                                       _fr(args.td), _fr(args.req),
-                                       _fr(args.resp) + _fr(args.k))
+        inp = CommBoundInput.from_work(Fraction(args.cs), Fraction(args.ts),
+                                       Fraction(args.cd), Fraction(args.td),
+                                       Fraction(args.req),
+                                       Fraction(args.resp) + Fraction(args.k))
         bd = comm_breakdown(inp)
         sound = rtt_bound(inp)
         payload = bd.as_dict()
         payload["sound"] = sound.as_dict()
         if args.oracle:
-            observed = brute_force_worst_rtt(inp, resolution=args.resolution)
+            observed = brute_force_worst_rtt(inp)
             payload["observed_max"] = str(observed)
             payload["observed_over_bound"] = float(observed / bd.w_shifted)
             payload["observed_over_completion"] = float(observed / sound.completion)
@@ -165,21 +161,23 @@ def _cmd_bounds(args) -> int:
         print(json.dumps(payload, sort_keys=True))
         return 0
     if args.bounds_command == "migration":
-        bound = migration_bound(_fr(args.delta), _fr(args.cm), _fr(args.tm))
+        bound = migration_bound(Fraction(args.delta), Fraction(args.cm),
+                                Fraction(args.tm))
         out = {"delta_s": args.delta, "C_m": args.cm, "T_m": args.tm,
                "bound": str(bound)}
         print(f"bound  {bound}")
         if args.es is not None:
             ok = check_migration_criterion(MigrationCriterionInput(
-                _fr(args.es), _fr(args.delta), _fr(args.cm), _fr(args.tm)))
+                Fraction(args.es), Fraction(args.delta), Fraction(args.cm),
+                Fraction(args.tm)))
             out["E_s"] = args.es
             out["verdict"] = "eligible" if ok else "violated"
             print(f"E_s    {args.es}\nverdict {out['verdict']}")
         print(json.dumps(out, sort_keys=True))
         return 0
     if args.bounds_command == "adjust":
-        adj = clock_adjustment(_fr(args.tscd), _fr(args.tscs),
-                               _fr(args.rdtsc), _fr(args.ipi))
+        adj = clock_adjustment(Fraction(args.tscd), Fraction(args.tscs),
+                               Fraction(args.rdtsc), Fraction(args.ipi))
         print(f"delta_adj  {adj}")
         print(json.dumps({"delta_adj": str(adj)}))
         return 0

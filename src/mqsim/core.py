@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import itemgetter
 
-from mqsim.clock import SandboxClock
 from mqsim.errors import PastTimestamp, SelfIpi, UnknownSandbox
 from mqsim.trace import SimTrace
 
@@ -148,6 +147,3 @@ class Simulator:
         return self.post_event(self.now + self.cost.ipi_cost, "ipi-delivery",
                                dst, payload,
                                lambda ev: dest.receive_ipi(src, payload, handler))
-
-    def new_clock(self, sandbox_id: str, offset: int = 0, drift_ppm: int = 0) -> SandboxClock:
-        return SandboxClock(sandbox_id, offset, drift_ppm)

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the simulator and the analytic engine."""
+"""Exception types shared across the simulator and the analytic engine."""
 
 
 class MqsimError(Exception):
@@ -51,10 +51,6 @@ class MailboxFull(MqsimError):
 
 class DegenerateInput(MqsimError):
     """Round-trip analysis was asked for a zero-length request without opting in."""
-
-
-class ResolutionTooCoarse(UserWarning):
-    """Sweep resolution exceeds the gcd of the input parameters; maxima may be missed."""
 
 
 # --- migration ---

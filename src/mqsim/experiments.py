@@ -116,7 +116,7 @@ def run_table1(migrate: bool = True, mode: str = "thread", pde_extra: int = 0,
     return res
 
 
-def deadline_miss_table(built, t_end: int, exclude=()) -> dict:
+def deadline_miss_table(built, t_end: int) -> dict:
     """Misses per VCPU over the run (continuously-eligible periods that got
     less than a full budget)."""
     out = {}
@@ -124,8 +124,6 @@ def deadline_miss_table(built, t_end: int, exclude=()) -> dict:
     migrated = job.vcpu.id if job is not None else None
     for sb in built.sim.sandboxes.values():
         for v in sb.vcpus.values():
-            if v.id in exclude:
-                continue
             out[v.id] = count_deadline_misses(v, t_end)
     if migrated is not None:
         out[f"{migrated}(migrated)"] = out.pop(migrated, 0)
@@ -147,26 +145,25 @@ def experiment_fig9(out_dir: str | None = None) -> dict:
     return artifact
 
 
-def experiment_fig10(out_dir: str | None = None) -> dict:
-    run = run_table1(migrate=True, pde_extra=800)
+def _single_run(name: str, out_dir: str | None, mode: str) -> dict:
+    """A slow-copy experiment: one table1 run migrating in ``mode`` with
+    800 us of extra delay per page-directory entry."""
+    run = run_table1(migrate=True, mode=mode, pde_extra=800)
     artifact = {
-        "experiment": "fig10",
+        "experiment": name,
         "migrated": _series_dict(run),
         "summary": run.summary,
     }
-    _write(out_dir, "fig10", artifact, run)
+    _write(out_dir, name, artifact, run)
     return artifact
+
+
+def experiment_fig10(out_dir: str | None = None) -> dict:
+    return _single_run("fig10", out_dir, "thread")
 
 
 def experiment_fig11(out_dir: str | None = None) -> dict:
-    run = run_table1(migrate=True, mode="ipi-handler", pde_extra=800)
-    artifact = {
-        "experiment": "fig11",
-        "migrated": _series_dict(run),
-        "summary": run.summary,
-    }
-    _write(out_dir, "fig11", artifact, run)
-    return artifact
+    return _single_run("fig11", out_dir, "ipi-handler")
 
 
 def _series_dict(res: RunResult) -> dict:
@@ -264,8 +261,7 @@ def fig12_worst_exchange(row: dict, grid: int = FIG12_GRID) -> dict:
 
 def experiment_fig12(out_dir: str | None = None,
                      exchanges: int = FIG12_EXCHANGES,
-                     grid: int = FIG12_GRID,
-                     oracle_resolution: int = 1) -> dict:
+                     grid: int = FIG12_GRID) -> dict:
     """Sweep receiver sleep phases and in-budget send offsets for the five
     configurations; report the observed worst round trip against the sound
     bound's ``observed`` total, next to the paper's W and W' and the
@@ -284,7 +280,7 @@ def experiment_fig12(out_dir: str | None = None,
                                        FIG12_REQUEST_WORK, m_work)
         bd = comm_breakdown(inp)
         sound = rtt_bound(inp)
-        oracle = brute_force_worst_rtt(inp, resolution=oracle_resolution)
+        oracle = brute_force_worst_rtt(inp)
 
         points = _fig12_points(c_s, t_d, grid)
         per_point = -(-exchanges // len(points))
@@ -319,16 +315,13 @@ def experiment_fig12(out_dir: str | None = None,
         for r in rows:
             c_d, t_d = FIG12_CASES[r["case"]]["receiver"]
             samples = []
-
-            class _Holder:
-                rtt_samples = samples
             pingpong_case_max_rtt(c_s, t_s, c_d, t_d, FIG12_REQUEST_WORK,
                                   FIG12_CASES[r["case"]]["response_work"],
                                   r["worst_point"]["busy_wait"],
                                   r["worst_point"]["receiver_phase"],
                                   exchanges=50, keep_samples=samples)
             _put(out_dir, f"fig12_{r['case']}_rtt.csv",
-                 rtt_samples_csv(_Holder))
+                 rtt_samples_csv(samples))
     return artifact
 
 

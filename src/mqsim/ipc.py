@@ -72,7 +72,6 @@ class Channel:
     task_b: object = None
     mbox_to_a: Mailbox = field(default_factory=Mailbox)
     mbox_to_b: Mailbox = field(default_factory=Mailbox)
-    established: bool = True
     # integer send cost per (side, nbytes); the profile is frozen
     _send_costs: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
@@ -141,12 +140,6 @@ class Channel:
                            f"ch={self.id}")
         return msg
 
-    def poll_once(self, task) -> Message | None:
-        """One polling attempt: charges poll_cost to the task's VCPU."""
-        task.vcpu.consume(self.profile.poll_cost,
-                          now_local=task.sandbox.now_local(), allow_overrun=True)
-        return self.take(task)
-
 
 def establish_channel(sim, sandbox_a: str, sandbox_b: str,
                       profile: ExchangeProfile | None = None) -> Channel:
@@ -186,8 +179,8 @@ def run_pingpong(sim, channel: Channel, exchanges: int,
     return [rtt for (_, _, rtt) in sender.rtt_samples[:exchanges]]
 
 
-def rtt_samples_csv(task) -> str:
-    """Round-trip samples of a sender task as CSV."""
+def rtt_samples_csv(samples) -> str:
+    """Round-trip samples (a sender task's ``rtt_samples``) as CSV."""
     lines = ["exchange_idx,start_local_us,rtt_us"]
-    lines.extend(f"{i},{t0},{rtt}" for i, t0, rtt in task.rtt_samples)
+    lines.extend(f"{i},{t0},{rtt}" for i, t0, rtt in samples)
     return "\n".join(lines) + "\n"

@@ -23,24 +23,20 @@ class MetricSeries:
 
 
 class Sampler:
-    """Collects counter deltas and gauges at each sample boundary."""
+    """Collects counter deltas at each sample boundary."""
 
     def __init__(self, sim, period_us: int = 1_000_000):
         self.sim = sim
         self.period = period_us
-        self.probes = []      # (name, fn, is_delta)
+        self.probes = []      # (name, fn)
         self.series: dict[str, MetricSeries] = {}
         self._prev: dict[str, int] = {}
         self._tick = 0
 
     def add_counter(self, name: str, fn):
-        self.probes.append((name, fn, True))
+        self.probes.append((name, fn))
         self.series[name] = MetricSeries(name)
         self._prev[name] = fn()
-
-    def add_gauge(self, name: str, fn):
-        self.probes.append((name, fn, False))
-        self.series[name] = MetricSeries(name)
 
     def start(self):
         self._arm()
@@ -52,13 +48,10 @@ class Sampler:
 
     def _fire(self):
         t_s = self.sim.now // self.period
-        for name, fn, is_delta in self.probes:
+        for name, fn in self.probes:
             val = fn()
-            if is_delta:
-                self.series[name].samples.append((t_s, val - self._prev[name]))
-                self._prev[name] = val
-            else:
-                self.series[name].samples.append((t_s, val))
+            self.series[name].samples.append((t_s, val - self._prev[name]))
+            self._prev[name] = val
         self.sim.trace.add(self.sim.now, "", "sample", "", f"t_s={t_s}")
         self._arm()
 
@@ -127,17 +120,15 @@ def replenishment_conserved(vcpu) -> bool:
     return vcpu.budget + sum(e.amount for e in vcpu.repl) == vcpu.capacity
 
 
-def count_deadline_misses(vcpu, t_end: int, t_start: int = 0) -> int:
+def count_deadline_misses(vcpu, t_end: int) -> int:
     """Periods in which the VCPU was continuously eligible (ready work and
     budget on hand) but executed less than its full budget."""
     if not vcpu.exec_intervals:
         return 0
-    t0 = vcpu.exec_intervals[0][0]
     misses = 0
     elig = IntervalSet(vcpu.eligible_intervals)
     ex = IntervalSet(vcpu.exec_intervals)
-    k = max(0, (t_start - t0) // vcpu.period)
-    lo = t0 + k * vcpu.period
+    lo = vcpu.exec_intervals[0][0]
     while lo + vcpu.period <= t_end:
         hi = lo + vcpu.period
         if elig.fully_covers(lo, hi) and ex.overlap(lo, hi) < vcpu.capacity:
@@ -146,14 +137,10 @@ def count_deadline_misses(vcpu, t_end: int, t_start: int = 0) -> int:
     return misses
 
 
-def compare_series(a: MetricSeries, b: MetricSeries, tol: int = 1,
-                   skip_first: int = 0, skip_last: int = 0) -> list:
+def compare_series(a: MetricSeries, b: MetricSeries, tol: int = 1) -> list:
     """Pairs of samples differing by more than ``tol``."""
     bad = []
-    xs, ys = a.samples, b.samples
-    n = min(len(xs), len(ys)) - skip_last
-    for i in range(skip_first, max(skip_first, n)):
-        (ta, va), (tb, vb) = xs[i], ys[i]
+    for (ta, va), (_, vb) in zip(a.samples, b.samples):
         if abs(va - vb) > tol:
             bad.append((ta, va, vb))
     return bad

@@ -75,7 +75,6 @@ class MigrationJob:
     cursor: int = 0
     needs_resume_overhead: bool = True
     overhead_charged: int = 0
-    points: int = 0
     delta_adj: int = 0
     admission: object = None
     completed_at: int | None = None
@@ -98,16 +97,6 @@ class MigrationJob:
         }
 
 
-class EngineDriver:
-    """Feeds the migration thread its steps straight from the engine."""
-
-    def __init__(self, engine):
-        self.engine = engine
-
-    def next(self, task, result):
-        return self.engine.next_step(task)
-
-
 class MigrationEngine:
     """Coordinates migration jobs across all sandboxes of a simulator."""
 
@@ -123,9 +112,14 @@ class MigrationEngine:
 
     def create_migration_thread(self, sandbox, vcpu):
         task = sandbox.add_task(f"migthread.{sandbox.id}", vcpu,
-                                driver=EngineDriver(self), start_ready=False)
+                                program=self._thread_program, start_ready=False)
         self.threads[sandbox.id] = (vcpu, task)
         return task
+
+    def _thread_program(self, api):
+        """The migration thread's steps, each taken from ``next_step``."""
+        while True:
+            yield self.next_step(api.task)
 
     def has_thread(self, sandbox_id: str) -> bool:
         return sandbox_id in self.threads
@@ -284,7 +278,6 @@ class MigrationEngine:
         label, work = job.chunks[job.cursor]
         job.delta_s_actual += work
         job.cursor += 1
-        job.points += 1
         v.consume(self.sim.cost.preemption_point_cost, allow_overrun=True)
         sb.drain_ipis()
         self.sim.trace.add(self.sim.now, sb.id, "mig_chunk", job.space_id,

@@ -48,12 +48,6 @@ from mqsim.migration import AddressSpace, MigrationEngine
 from mqsim.sched import Sandbox
 
 
-def _fraction(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
-
-
 @dataclass
 class Scenario:
     """A validated scenario plus the warnings collected while filling defaults."""
@@ -189,8 +183,8 @@ def build(sc: Scenario) -> BuiltScenario:
         prof = ExchangeProfile(
             n_bytes=ch_raw.get("n_bytes", 2048),
             m_bytes=ch_raw.get("m_bytes", 2048),
-            delta_s=_fraction(ch_raw.get("delta_s", "1/8")),
-            delta_d=_fraction(ch_raw.get("delta_d", "1/8")),
+            delta_s=Fraction(ch_raw.get("delta_s", "1/8")),
+            delta_d=Fraction(ch_raw.get("delta_d", "1/8")),
             k=ch_raw.get("k_us", 0),
             poll_cost=ch_raw.get("poll_cost_us", 10),
             poll_interval=ch_raw.get("poll_interval_us", 500))

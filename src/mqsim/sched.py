@@ -48,11 +48,6 @@ class SleepUntil:
 
 
 @dataclass
-class SleepFor:
-    dt: int
-
-
-@dataclass
 class BlockIo:
     latency: int
     completion_work: int
@@ -90,8 +85,9 @@ class TaskApi:
     def sleep_until(self, t_local: int) -> SleepUntil:
         return SleepUntil(int(t_local))
 
-    def sleep_for(self, dt: int) -> SleepFor:
-        return SleepFor(int(dt))
+    def sleep_for(self, dt: int) -> SleepUntil:
+        """Sleep ``dt`` local ticks from now (the step's install instant)."""
+        return SleepUntil(self.local_now() + int(dt))
 
     def block_io(self, latency: int, completion_work: int) -> BlockIo:
         return BlockIo(int(latency), int(completion_work))
@@ -109,20 +105,6 @@ class TaskApi:
         return channel.take(self.task)
 
 
-class GeneratorDriver:
-    """Drives a task from a generator of workload steps."""
-
-    def __init__(self, factory):
-        self.factory = factory
-        self.gen = None
-
-    def next(self, task, result):
-        if self.gen is None:
-            self.gen = self.factory(TaskApi(task))
-            return next(self.gen)
-        return self.gen.send(result)
-
-
 @dataclass
 class PendingWake:
     t_local: int
@@ -130,14 +112,17 @@ class PendingWake:
 
 
 class Task:
-    """A schedulable thread context bound to one VCPU and one address space."""
+    """A schedulable thread context bound to one VCPU and one address space.
+    ``program(api)`` returns the generator of its workload steps; it is
+    called at the first install, with a ``TaskApi`` bound to the task."""
 
-    def __init__(self, sandbox, task_id: str, vcpu: "Vcpu", driver,
+    def __init__(self, sandbox, task_id: str, vcpu: "Vcpu", program,
                  address_space_id: str = "", demanding: bool = False):
         self.sandbox = sandbox
         self.id = task_id
         self.vcpu = vcpu
-        self.driver = driver
+        self.program = program
+        self.steps = None
         self.address_space_id = address_space_id
         self.demanding = demanding
         self.step = None
@@ -211,8 +196,6 @@ class Vcpu:
         self.chunk_activation_local: int | None = None
         self.chunk_consumed = 0
         self.total_consumed = 0
-        self.repl_posted_total = 0
-        self.repl_fired_total = 0
         self.exec_intervals: list[list[int]] = []
         self.eligible_intervals: list[list[int]] = []
         self._eligible_since: int | None = None
@@ -296,7 +279,6 @@ class Vcpu:
             self._post_repl_event(merged)
         entry = ReplEntry(t_local, amount)
         self.repl.append(entry)
-        self.repl_posted_total += amount
         self._post_repl_event(entry)
 
     def _post_repl_event(self, entry: ReplEntry):
@@ -314,7 +296,6 @@ class Vcpu:
             return
         self.repl.remove(entry)
         self.budget += entry.amount
-        self.repl_fired_total += entry.amount
         assert self.budget <= self.capacity, f"{self.id}: budget over capacity"
         self.note_eligibility()
         sb = self.sandbox
@@ -497,11 +478,10 @@ class Sandbox:
         self._order_vcpus()
         return v
 
-    def add_task(self, task_id: str, vcpu: Vcpu, program=None, driver=None,
+    def add_task(self, task_id: str, vcpu: Vcpu, program,
                  address_space_id: str = "", demanding: bool = False,
                  start_ready: bool = True) -> Task:
-        drv = driver if driver is not None else GeneratorDriver(program)
-        t = Task(self, task_id, vcpu, drv, address_space_id, demanding)
+        t = Task(self, task_id, vcpu, program, address_space_id, demanding)
         self.tasks[task_id] = t
         if start_ready:
             t.make_ready()
@@ -855,8 +835,10 @@ class Sandbox:
                     return False
 
     def _install_next(self, task: Task):
+        if task.steps is None:
+            task.steps = task.program(TaskApi(task))
         try:
-            st = task.driver.next(task, task.pending_result)
+            st = task.steps.send(task.pending_result)
         except StopIteration:
             task.done = True
             task.leave_ready()
@@ -867,13 +849,11 @@ class Sandbox:
         if isinstance(st, (Compute, Send, PollWait, MonitorChunk)):
             task.step = st
             return
-        if not isinstance(st, (SleepUntil, SleepFor, BlockIo, Park)):
+        if not isinstance(st, (SleepUntil, BlockIo, Park)):
             raise AssertionError(f"unknown step {st}")
         task.leave_ready()
         if isinstance(st, SleepUntil):
             self.schedule_wake(task, st.t_local)
-        elif isinstance(st, SleepFor):
-            self.schedule_wake(task, self.now_local() + st.dt)
         elif isinstance(st, BlockIo):
             task.io_blocked = True
             self.sim.post_event(

@@ -43,6 +43,16 @@ class TestBoundsCli:
         payload = last_json(capsys)
         assert payload["observed_max"] == "49"
 
+    def test_comm_oracle_on_rational_inputs(self, capsys):
+        """The worked example halved: the oracle sweeps half ticks and
+        prints half its maximum, equal to the sound ``completion``."""
+        rc = main(["bounds", "comm", "--cs", "1", "--ts", "5", "--cd", "3/2",
+                   "--td", "15/2", "--req", "5/2", "--resp", "2", "--oracle"])
+        assert rc == 0
+        payload = last_json(capsys)
+        assert payload["observed_max"] == "49/2"
+        assert payload["observed_over_completion"] == 1.0
+
     def test_migration_violation(self, capsys):
         rc = main(["bounds", "migration", "--delta", "20", "--cm", "10",
                    "--tm", "50", "--es", "79.8"])

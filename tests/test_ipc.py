@@ -104,12 +104,6 @@ class TestMailbox:
             ch.send_work(snd, 3)
         assert ch.send_work(rcv, 4) == 2
 
-    def test_poll_once_charges_budget(self):
-        sim, ch, snd, rcv = pair(idle=True)
-        before = rcv.vcpu.budget
-        assert ch.poll_once(rcv) is None
-        assert rcv.vcpu.budget == before - ch.profile.poll_cost
-
 
 class TestExchangeTiming:
     def test_budget_spanning_send_takes_sporadic_windows(self):

@@ -3,6 +3,7 @@ outcomes, clock adjustment, and integrity."""
 
 import pytest
 
+from mqsim.clock import SandboxClock
 from mqsim.core import CostModel, Simulator
 from mqsim.errors import BlockedOnIo, DestinationBusy, NotEligible
 from mqsim.migration import AddressSpace, MigrationEngine
@@ -15,7 +16,7 @@ def rig(admission="exact", dest_extra_load=None, sb2_offset=0):
     eng = MigrationEngine(sim)
     sb1 = Sandbox(sim, "sb1", admission_mode=admission)
     sb2 = Sandbox(sim, "sb2",
-                  clock=sim.new_clock("sb2", offset=sb2_offset),
+                  clock=SandboxClock("sb2", offset=sb2_offset),
                   admission_mode=admission)
     for sb in (sb1, sb2):
         mig = sb.add_vcpu(f"mig.{sb.id}", 10_000, 50_000, highest_priority=True)

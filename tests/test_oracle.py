@@ -11,7 +11,6 @@ import pytest
 from mqsim.bounds import (CommBoundInput, brute_force_worst_rtt, comm_breakdown,
                           rtt_bound)
 from mqsim.bounds.oracle import _send_end, _worst, worst_point
-from mqsim.errors import ResolutionTooCoarse
 from oracle_reference import worst_2d
 
 
@@ -30,8 +29,7 @@ def test_always_runnable_is_pure_work():
 
 
 def test_separable_sweep_equals_2d_reference():
-    """Seeded random inputs at resolution 1, at a resolution dividing T_d and
-    at one that need not; at resolution 1 the reference's first argmax has
+    """Seeded random inputs; the reference's first argmax has
     ``worst_point``'s request and response, and ``worst_point``'s offset is
     the first with the longest request."""
     rng = random.Random(5)
@@ -42,11 +40,9 @@ def test_separable_sweep_equals_2d_reference():
         t_d = rng.randint(c_d, 60)
         n = rng.randint(1, 40)
         m = rng.randint(0, 40)
-        divisor = rng.choice([r for r in range(2, t_d + 1) if t_d % r == 0] or [1])
-        for res in (1, divisor, rng.randint(2, 12)):
-            args = (c_s, t_s, c_d, t_d, n, m, res)
-            assert _worst(*args)[0] == worst_2d(*args)[0], args
-        _, sigma, te, tr = worst_2d(c_s, t_s, c_d, t_d, n, m, 1)
+        args = (c_s, t_s, c_d, t_d, n, m)
+        assert _worst(*args)[0] == worst_2d(*args)[0], args
+        _, sigma, te, tr = worst_2d(*args)
         point = worst_point(CommBoundInput.from_work(c_s, t_s, c_d, t_d, n, m))
         assert (point["request"], point["response"]) == (te - sigma, tr - te)
         requests = [_send_end(c_s, t_s, n, s) - s for s in range(c_s)]
@@ -54,49 +50,52 @@ def test_separable_sweep_equals_2d_reference():
 
 
 def test_separable_sweep_equals_2d_reference_exhaustively_up_to_6():
-    """Every integer input with all parameters, the resolution included,
-    at most 6."""
+    """Every integer input with all parameters at most 6."""
     r = range(1, 7)
     vcpus = [(c, t) for c in r for t in r if c <= t]
     count = 0
-    for (c_s, t_s), (c_d, t_d), n, m, res in itertools.product(
-            vcpus, vcpus, r, range(0, 7), r):
-        args = (c_s, t_s, c_d, t_d, n, m, res)
+    for (c_s, t_s), (c_d, t_d), n, m in itertools.product(
+            vcpus, vcpus, r, range(0, 7)):
+        args = (c_s, t_s, c_d, t_d, n, m)
         assert _worst(*args)[0] == worst_2d(*args)[0], args
         count += 1
-    assert count == 21 * 21 * 6 * 7 * 6
-
-
-def test_coarse_resolution_warns_and_lower_bounds():
-    inp = CommBoundInput.from_work(20, 100, 20, 130, 5, 5)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        coarse = brute_force_worst_rtt(inp, resolution=7)
-    assert any(issubclass(w.category, ResolutionTooCoarse) for w in caught)
-    fine = brute_force_worst_rtt(inp, resolution=1)
-    assert coarse <= fine
+    assert count == 21 * 21 * 6 * 7
 
 
 def test_rational_inputs_rescale_exactly():
-    # fractional inputs are rescaled to integer ticks internally; a 1-tick
-    # resolution then only covers whole original ticks, which the coarseness
-    # warning flags (the half-tick alignments carry the extra tick here)
+    # fractional inputs are swept on their common tick (half a unit here),
+    # so the half-tick alignments are covered: the worked example halved
+    # gives half its maximum, which is the sound bound's completion
     halved = CommBoundInput.from_work(1, 5, Fraction(3, 2), Fraction(15, 2),
                                       Fraction(5, 2), 2)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert brute_force_worst_rtt(halved) == 24
-    assert any(issubclass(w.category, ResolutionTooCoarse) for w in caught)
-    # doubling every parameter with a matching resolution scales exactly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert brute_force_worst_rtt(halved) == Fraction(49, 2)
+    assert rtt_bound(halved).completion == Fraction(49, 2)
     assert brute_force_worst_rtt(CommBoundInput.from_work(2, 10, 3, 15, 5, 4)) == 49
-    doubled = CommBoundInput.from_work(4, 20, 6, 30, 10, 8)
-    assert brute_force_worst_rtt(doubled, resolution=2) == 98
+
+
+def test_rational_inputs_equal_the_sound_completion():
+    """Seeded inputs whose parameters have denominators up to 4: the sweep
+    on their common tick reaches the sound bound's ``completion``."""
+    rng = random.Random(11)
+    for _ in range(300):
+        q = [rng.randint(1, 4) for _ in range(6)]
+        c_s = Fraction(rng.randint(1, 12), q[0])
+        t_s = c_s + Fraction(rng.randint(0, 24), q[1])
+        c_d = Fraction(rng.randint(1, 12), q[2])
+        t_d = c_d + Fraction(rng.randint(0, 24), q[3])
+        n = Fraction(rng.randint(1, 16), q[4])
+        m = Fraction(rng.randint(0, 16), q[5])
+        inp = CommBoundInput.from_work(c_s, t_s, c_d, t_d, n, m)
+        assert brute_force_worst_rtt(inp) == rtt_bound(inp).completion, inp
 
 
 def test_resolution_validation():
     inp = CommBoundInput.from_work(2, 10, 3, 15, 5, 4)
-    with pytest.raises(ValueError):
-        brute_force_worst_rtt(inp, resolution=0)
+    for resolution in (0, 2, 7):
+        with pytest.raises(ValueError):
+            brute_force_worst_rtt(inp, resolution=resolution)
 
 
 def test_known_unsound_regimes_are_detected():

@@ -100,7 +100,7 @@ def test_sound_bound_equals_sweep_exhaustively_up_to_8():
     for (c_s, t_s), (c_d, t_d), n, m in itertools.product(vcpus, vcpus, r,
                                                           range(0, 9)):
         bound = rtt_bound(CommBoundInput.from_work(c_s, t_s, c_d, t_d, n, m))
-        oracle = worst_2d(c_s, t_s, c_d, t_d, n, m, 1)[0]
+        oracle = worst_2d(c_s, t_s, c_d, t_d, n, m)[0]
         assert oracle == bound.completion, (c_s, t_s, c_d, t_d, n, m)
         count += 1
     assert count == 93312
