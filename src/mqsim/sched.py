@@ -690,13 +690,12 @@ class Sandbox:
     def touch(self):
         """Settle the running VCPU up to now, then loop: pick, switch, complete
         the zero-length steps, and arm the advance.  A VCPU left without timed
-        work is stopped and the loop picks again; a newly started one must
+        work is stopped and the loop picks again; one with timed work must
         survive a second pick, as its completed steps can wake others."""
         self._settle()
         while True:
             best = None if self.blocked_until > self.sim.now else self._pick()
-            started = best is not self.running
-            if started:
+            if best is not self.running:
                 self._stop_running()
                 if best is not None:
                     self._start_running(best)
@@ -705,7 +704,7 @@ class Sandbox:
                 return
             if not self._resolve_instant(best):
                 self._stop_running()
-            elif not started or self._pick() is best:
+            elif self._pick() is best:
                 self._arm_advance(best)
                 return
 

@@ -57,7 +57,13 @@ CORPUS_GOLDEN = {
     25: ("a90418dacfae3744", 376, "a8a9db6a3a6ffbce"),
     26: ("da6f09e4c0c1b1ec", 2053, "53c6816b8da0cf96"),
     27: ("97c9fa954ac3016b", 619, "6aec22b7f0fe47f7"),
-    28: ("9d815004888a14d6", 1985, "898e365a88283783"),
+    # re-pinned when the dispatch loop began picking again after every
+    # resolve: at t=126009 s1.m3.t0's I/O arrives on the tick at which s1.io0
+    # finishes s1.m2.t0's I/O job.  io0, holding m2's key, completes that job
+    # inside the arrival's dispatch and is left with m3's lower inherited
+    # key, so s1.m2 now preempts it at 126009 instead of at 126509, when io0
+    # depletes
+    28: ("543e01f70bd9ebef", 2028, "0f1bbd63612d38fa"),
     29: ("115b3d9503cd838d", 869, "4f2b081027de366c"),
     30: ("deec820213c5a712", 140, "7b661f4aa49c52bc"),
     31: ("b535687564bbff6b", 606, "5084e92441bd7f65"),

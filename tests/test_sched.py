@@ -73,28 +73,55 @@ class TestVcpuBasics:
         assert b.eligible_intervals == [[0, 15]]
 
     @staticmethod
-    def _check_record_after_touch(monkeypatch) -> list:
-        """Patch ``Sandbox.touch`` to compare, after each call, every VCPU's
-        recorded eligibility with ``Vcpu.eligible``; returns the mismatches."""
+    def _check_after_touch(monkeypatch, findings) -> list:
+        """Patch ``Sandbox.touch`` to collect, after each call, the
+        ``(now, finding)`` pairs of ``findings(sb)``."""
         bad = []
         touch = Sandbox.touch
 
         def checked(sb):
             touch(sb)
-            bad.extend((sb.sim.now, v.id) for v in sb.vcpus.values()
-                       if (v._eligible_since is not None) != v.eligible())
+            bad.extend((sb.sim.now, f) for f in findings(sb))
         monkeypatch.setattr(Sandbox, "touch", checked)
         return bad
 
+    @staticmethod
+    def _stale_records(sb) -> list:
+        """VCPUs whose recorded eligibility differs from ``Vcpu.eligible``."""
+        return [v.id for v in sb.vcpus.values()
+                if (v._eligible_since is not None) != v.eligible()]
+
+    @staticmethod
+    def _missed_pick(sb) -> list:
+        """(running, picked) when an unblocked sandbox runs another VCPU
+        than the one its pick prefers."""
+        if sb.blocked_until > sb.sim.now or sb._pick() is sb.running:
+            return []
+        return [tuple(v.id if v else None for v in (sb.running, sb._pick()))]
+
     def test_record_follows_predicate_on_table1(self, monkeypatch):
         from mqsim.experiments import run_table1
-        bad = self._check_record_after_touch(monkeypatch)
+        bad = self._check_after_touch(monkeypatch, self._stale_records)
         run_table1(migrate=True)
         assert bad == []
 
     def test_record_follows_predicate_on_random_setups(self, monkeypatch):
-        bad = self._check_record_after_touch(monkeypatch)
+        bad = self._check_after_touch(monkeypatch, self._stale_records)
         for seed in CORPUS_SEEDS[:20]:
+            run_setup(seed)
+        assert bad == []
+
+    def test_running_vcpu_is_the_pick_on_table1(self, monkeypatch):
+        from mqsim.experiments import run_table1
+        bad = self._check_after_touch(monkeypatch, self._missed_pick)
+        run_table1(migrate=True)
+        assert bad == []
+
+    def test_running_vcpu_is_the_pick_on_random_setups(self, monkeypatch):
+        """After each dispatch the running VCPU is the pick, also when the
+        running VCPU's zero-length completions woke a better one (seed 28)."""
+        bad = self._check_after_touch(monkeypatch, self._missed_pick)
+        for seed in CORPUS_SEEDS:
             run_setup(seed)
         assert bad == []
 
