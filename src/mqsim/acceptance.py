@@ -87,7 +87,7 @@ def crit_eq23_worked_example(runs, fast=False):
                 "w": 48, "e": 1, "w_shifted": 49}
     wrong = {k: (getattr(bd, k), v) for k, v in expected.items()
              if getattr(bd, k) != v}
-    observed = brute_force_worst_rtt(inp, resolution=1)
+    observed = brute_force_worst_rtt(inp)
     oracle_ok = 48 <= observed <= 49
     ok = not wrong and oracle_ok
     return ok, f"analytic={'ok' if not wrong else wrong}; oracle={observed} in [48,49]: {oracle_ok}"
@@ -119,7 +119,7 @@ def crit_bound_soundness(runs, fast=False):
     for _ in range(trials):
         inp = _random_input(rng)
         bound = rtt_bound(inp).completion
-        got = brute_force_worst_rtt(inp, resolution=1)
+        got = brute_force_worst_rtt(inp)
         over_paper += got > comm_breakdown(inp).w_shifted
         if got > bound:
             violations.append((inp, int(got), int(bound)))

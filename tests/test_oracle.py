@@ -16,7 +16,7 @@ from oracle_reference import worst_2d
 
 def test_worked_example_bracket():
     inp = CommBoundInput.from_work(2, 10, 3, 15, 5, 4)
-    got = brute_force_worst_rtt(inp, resolution=1)
+    got = brute_force_worst_rtt(inp)
     assert 48 <= got <= 49
 
 

@@ -60,7 +60,7 @@ def test_sweep_never_exceeds_bound_in_covered_regime(inp):
     bd = comm_breakdown(inp)
     if bd.d >= bd.l_s:
         return  # response outlives the leftover budget: outside the envelope
-    assert brute_force_worst_rtt(inp, resolution=1) <= bd.w_shifted
+    assert brute_force_worst_rtt(inp) <= bd.w_shifted
 
 
 @st.composite
@@ -87,7 +87,7 @@ def any_inputs(draw):
 def test_sound_bound_equals_sweep_in_every_case(inp):
     event(f"paper case_id {comm_breakdown(inp).case_id}")
     bound = rtt_bound(inp)
-    assert brute_force_worst_rtt(inp, resolution=1) == bound.completion
+    assert brute_force_worst_rtt(inp) == bound.completion
     assert bound.completion <= bound.observed
     assert bound.observed - bound.completion <= inp.t_s - inp.c_s
 
