@@ -236,17 +236,12 @@ class Vcpu:
             self.chunk_activation_local = now_local
             self.chunk_consumed = 0
 
-    def consume(self, amount: int, now_local: int | None = None,
-                allow_overrun: bool = False):
-        """Charge execution to the open chunk.  ``now_local`` opens a chunk
-        when none is open (the direct-call form of the budget-consumption
-        operation)."""
+    def consume(self, amount: int, allow_overrun: bool = False):
+        """Charge execution to the open chunk."""
         if amount == 0:
             return
         if self.chunk_activation_local is None:
-            if now_local is None:
-                raise OverConsume(f"{self.id}: no open execution chunk")
-            self.begin_chunk(now_local)
+            raise OverConsume(f"{self.id}: no open execution chunk")
         if amount > self.budget and not allow_overrun:
             raise OverConsume(f"{self.id}: {amount} exceeds budget {self.budget}")
         self.budget -= amount
@@ -348,7 +343,7 @@ def consume_budget(vcpu: Vcpu, amount: int, now_local: int):
     """Direct form of budget consumption: charge ``amount`` as one chunk that
     ran at ``now_local`` and queue its replenishment."""
     vcpu.begin_chunk(now_local)
-    vcpu.consume(amount, now_local)
+    vcpu.consume(amount)
     vcpu.close_chunk()
 
 
