@@ -95,9 +95,10 @@ class TestVcpuBasics:
     def _missed_pick(sb) -> list:
         """(running, picked) when an unblocked sandbox runs another VCPU
         than the one its pick prefers."""
-        if sb.blocked_until > sb.sim.now or sb._pick() is sb.running:
+        best = sb._pick()
+        if sb.blocked_until > sb.sim.now or best is sb.running:
             return []
-        return [tuple(v.id if v else None for v in (sb.running, sb._pick()))]
+        return [tuple(v.id if v else None for v in (sb.running, best))]
 
     def test_record_follows_predicate_on_table1(self, monkeypatch):
         from mqsim.experiments import run_table1
