@@ -189,11 +189,10 @@ def pingpong_case_max_rtt(c_s, t_s, c_d, t_d, request_work, response_work,
                            delta_s=Fraction(request_work, 2048),
                            delta_d=Fraction(response_work, 2048), k=0)
     ch = establish_channel(sim, "s", "d", prof)
-    snd = s.add_task("snd", vs, demanding=True,
-                     program=pingpong_sender(ch, busy_wait=busy_wait,
-                                             exchanges=exchanges))
-    rcv = d.add_task("rcv", vd, demanding=True,
-                     program=pingpong_receiver(ch, initial_sleep=receiver_phase))
+    snd = s.add_task("snd", vs, program=pingpong_sender(
+        ch, busy_wait=busy_wait, exchanges=exchanges))
+    rcv = d.add_task("rcv", vd, program=pingpong_receiver(
+        ch, initial_sleep=receiver_phase))
     ch.bind(snd, rcv)
     s.touch()
     d.touch()

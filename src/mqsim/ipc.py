@@ -75,6 +75,11 @@ class Channel:
     # integer send cost per (side, nbytes); the profile is frozen
     _send_costs: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
+    # the detail of every msg_send and msg_recv row
+    _trace_detail: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._trace_detail = f"ch={self.id}"
 
     def bind(self, task_a, task_b):
         self.task_a, self.task_b = task_a, task_b
@@ -117,7 +122,7 @@ class Channel:
         box = self._outbox(task)
         box.status_full = True
         box.message = Message(nbytes, now, task.id)
-        self.sim.trace.add(now, task.sandbox.id, "msg_send", task.id, f"ch={self.id}")
+        self.sim.trace.add(now, task.sandbox.id, "msg_send", task.id, self._trace_detail)
         peer = self._peer(task)
         if peer is None:
             return
@@ -137,7 +142,7 @@ class Channel:
         msg = box.message
         box.message = None
         self.sim.trace.add(self.sim.now, task.sandbox.id, "msg_recv", task.id,
-                           f"ch={self.id}")
+                           self._trace_detail)
         return msg
 
 

@@ -200,10 +200,8 @@ def build(sc: Scenario) -> BuiltScenario:
             task = None
             if task_raw:
                 name = task_raw.get("name", v_raw["id"])
-                program, demanding = _program(task_raw, out)
-                task = sb.add_task(name, out.vcpus[v_raw["id"]], program=program,
-                                   demanding=demanding,
-                                   address_space_id=(space_raw or {}).get("id", ""))
+                task = sb.add_task(name, out.vcpus[v_raw["id"]],
+                                   program=_program(task_raw, out))
                 out.tasks[name] = task
                 if task_raw["type"] in ("pingpong_send", "pingpong_recv"):
                     side = "a" if task_raw["type"] == "pingpong_send" else "b"
@@ -236,16 +234,16 @@ def build(sc: Scenario) -> BuiltScenario:
 def _program(task_raw: dict, out: BuiltScenario):
     kind = task_raw["type"]
     if kind == "busy":
-        return workloads.busy_loop(task_raw.get("iteration_cost_us", 10_000)), True
+        return workloads.busy_loop(task_raw.get("iteration_cost_us", 10_000))
     if kind == "sleeper":
-        return workloads.sleeper(), False
+        return workloads.sleeper()
     if kind == "logger":
         return workloads.periodic_logger(task_raw.get("period_us", 1_000_000),
-                                         task_raw.get("work_us", 500)), False
+                                         task_raw.get("work_us", 500))
     if kind == "io_cycle":
         return workloads.io_cycle(task_raw.get("compute_us", 1000),
                                   task_raw.get("io_latency_us", 5000),
-                                  task_raw.get("io_work_us", 100)), False
+                                  task_raw.get("io_work_us", 100))
     if kind == "pingpong_send":
         ch = out.channels[task_raw["channel"]]
         return workloads.pingpong_sender(
@@ -253,12 +251,12 @@ def _program(task_raw: dict, out: BuiltScenario):
             busy_wait=task_raw.get("busy_wait_us", 0),
             initial_sleep=task_raw.get("initial_sleep_us", 0),
             pace=task_raw.get("pace_us"),
-            wait=task_raw.get("wait", "busy")), task_raw.get("wait", "busy") == "busy"
+            wait=task_raw.get("wait", "busy"))
     if kind == "pingpong_recv":
         ch = out.channels[task_raw["channel"]]
         return workloads.pingpong_receiver(
             ch, initial_sleep=task_raw.get("initial_sleep_us", 0),
-            wait=task_raw.get("wait", "busy")), task_raw.get("wait", "busy") == "busy"
+            wait=task_raw.get("wait", "busy"))
     raise ValidationError(f"unknown task type {kind!r}")
 
 

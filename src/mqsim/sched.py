@@ -116,15 +116,12 @@ class Task:
     ``program(api)`` returns the generator of its workload steps; it is
     called at the first install, with a ``TaskApi`` bound to the task."""
 
-    def __init__(self, sandbox, task_id: str, vcpu: "Vcpu", program,
-                 address_space_id: str = "", demanding: bool = False):
+    def __init__(self, sandbox, task_id: str, vcpu: "Vcpu", program):
         self.sandbox = sandbox
         self.id = task_id
         self.vcpu = vcpu
         self.program = program
         self.steps = None
-        self.address_space_id = address_space_id
-        self.demanding = demanding
         self.step = None
         self.pending_result = None
         self.ready = False
@@ -474,9 +471,8 @@ class Sandbox:
         return v
 
     def add_task(self, task_id: str, vcpu: Vcpu, program,
-                 address_space_id: str = "", demanding: bool = False,
                  start_ready: bool = True) -> Task:
-        t = Task(self, task_id, vcpu, program, address_space_id, demanding)
+        t = Task(self, task_id, vcpu, program)
         self.tasks[task_id] = t
         if start_ready:
             t.make_ready()

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from mqsim.cli import main
+from mqsim.trace import fnv1a64
 
 
 def last_json(capsys):
@@ -105,6 +106,14 @@ class TestRunCli:
         a = (tmp_path / "a" / "trace.csv").read_bytes()
         b = (tmp_path / "b" / "trace.csv").read_bytes()
         assert a == b
+
+    def test_summary_hash_is_the_written_trace(self, tmp_path, capsys):
+        rc = main(["run", "table1", "--out", str(tmp_path)])
+        assert rc == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert json.loads(capsys.readouterr().out) == summary
+        written = (tmp_path / "trace.csv").read_bytes()
+        assert summary["trace_hash"] == f"{fnv1a64(written):016x}"
 
     def test_unknown_scenario(self, capsys):
         with pytest.raises(Exception):

@@ -1,13 +1,29 @@
 """Event queue, clocks, IPIs, and trace reproducibility."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mqsim.clock import SandboxClock
 from mqsim.core import CostModel, Simulator
 from mqsim.errors import PastTimestamp, SelfIpi, UnknownSandbox
 from mqsim.sched import Sandbox
-from mqsim.trace import fnv1a64
+from mqsim.trace import SimTrace, fnv1a64
 from mqsim.workloads import busy_loop
+from trace_corpus import run_setup
+
+
+def trace_of(rows) -> SimTrace:
+    trace = SimTrace()
+    for row in rows:
+        trace.add(*row)
+    return trace
+
+
+def fold(h: int, data: bytes) -> int:
+    """FNV-1a from state ``h``, one byte at a time."""
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) % 2**64
+    return h
 
 
 def collector(sim, log):
@@ -207,9 +223,55 @@ class TestTrace:
             sim = Simulator()
             sb = Sandbox(sim, "a")
             v = sb.add_vcpu("v", 10, 50)
-            sb.add_task("busy", v, program=busy_loop(5), demanding=True)
+            sb.add_task("busy", v, program=busy_loop(5))
             sb.touch()
             sim.run_until(10_000)
             return sim.trace.hash()
 
         assert one() == one()
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [(5, "a", "wakeup", "t", "x=1")],
+        [(0, "sb1", "deplete", "", ""), (0, "sb1", "wakeup", "", "x"),
+         (1, "", "sample", "", "t_s=1")],
+        [(7, "sb2", "ipi", "mig", "détail ✓"), (8, "sb2", "ipi", "mig", "détail ✓")],
+        [(2**70 + 3, "sb1", "io_done", "t", "direct"), (-4, "sb1", "io_done", "t", "")],
+    ], ids=["empty", "single-row", "empty-fields", "non-ascii", "large-t"])
+    def test_hash_folds_the_csv_bytes(self, rows):
+        trace = trace_of(rows)
+        assert trace.hash() == fnv1a64(trace.to_csv().encode())
+
+    def test_repeated_suffix_meets_every_low_byte(self):
+        # one line suffix after all 256 low bytes of the state, so the
+        # per-row memo both misses and hits, with every key it can have
+        trace = SimTrace()
+        h = fold(0xCBF29CE484222325, b"t_true_us,sandbox,event_kind,entity,detail\n")
+        low_bytes = set()
+        while len(low_bytes) < 256:
+            t = len(trace)
+            h = fold(h, f"{t},".encode())
+            low_bytes.add(h & 0xFF)
+            h = fold(h, b"sb1,msg_send,comms1,ch=sb1-sb2\n")
+            trace.add(t, "sb1", "msg_send", "comms1", "ch=sb1-sb2")
+        assert len(trace) > 256
+        assert trace.hash() == h == fnv1a64(trace.to_csv().encode())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(min_value=0, max_value=10**15),
+        *[st.one_of(st.sampled_from(["", "sb1", "ch=sb1-sb2", "é"]),
+                    st.text(max_size=6)) for _ in range(4)]), max_size=60))
+    def test_hash_property(self, rows):
+        trace = trace_of(rows)
+        assert trace.hash() == fnv1a64(trace.to_csv().encode())
+
+    def test_hash_never_builds_the_csv(self, monkeypatch):
+        sim = run_setup(22)
+
+        def refuse(trace):
+            raise AssertionError("hash() built the CSV")
+
+        monkeypatch.setattr(SimTrace, "to_csv", refuse)
+        # corpus seed 22 as pinned in test_golden.py
+        assert f"{sim.trace.hash():016x}" == "4ed370679b0296d4"

@@ -22,13 +22,13 @@ def rig(admission="exact", dest_extra_load=None, sb2_offset=0):
         mig = sb.add_vcpu(f"mig.{sb.id}", 10_000, 50_000, highest_priority=True)
         eng.create_migration_thread(sb, mig)
     vc = sb1.add_vcpu("workv", 20_000, 100_000)
-    task = sb1.add_task("work", vc, program=busy_loop(10_000), demanding=True)
+    task = sb1.add_task("work", vc, program=busy_loop(10_000))
     sb1.spaces["work_as"] = AddressSpace("work_as", total_pages=370,
                                          task_controls=["work"])
     if dest_extra_load:
         for i, (c, t) in enumerate(dest_extra_load):
             v = sb2.add_vcpu(f"load{i}", c, t)
-            sb2.add_task(f"load{i}", v, program=busy_loop(c // 2), demanding=True)
+            sb2.add_task(f"load{i}", v, program=busy_loop(c // 2))
     sb1.touch()
     sb2.touch()
     return sim, eng, sb1, sb2, vc, task
@@ -205,8 +205,7 @@ class TestIpiHandlerMode:
     def test_kernel_block_stalls_destination(self):
         sim, eng, sb1, sb2, vc, task = rig()
         hog = sb2.add_vcpu("hogv", 10_000, 100_000)
-        hog_task = sb2.add_task("hog", hog, program=busy_loop(5_000),
-                                demanding=True)
+        hog_task = sb2.add_task("hog", hog, program=busy_loop(5_000))
         sb2.touch()
         sim.run_until(25_000)
         job = eng.request_migration("sb1", "sb2", "work_as",
@@ -251,7 +250,7 @@ class TestOverrun:
             mig = sb.add_vcpu(f"mig.{sb.id}", 500, 5_000, highest_priority=True)
             eng.create_migration_thread(sb, mig)
         v = sb1.add_vcpu("v", 1_000, 10_000)
-        sb1.add_task("t", v, program=busy_loop(500), demanding=True)
+        sb1.add_task("t", v, program=busy_loop(500))
         sb1.spaces["as"] = AddressSpace("as", total_pages=0, pde_count=1,
                                         task_controls=["t"])
         sb1.touch()

@@ -50,7 +50,7 @@ class TestVcpuBasics:
     def test_replenished_vcpu_runs_again(self):
         sim, sb = mini()
         a = sb.add_vcpu("a", 10, 50)
-        t = sb.add_task("ta", a, program=busy_loop(5), demanding=True)
+        t = sb.add_task("ta", a, program=busy_loop(5))
         sb.touch()
         sim.run_until(200)
         assert a.exec_intervals[:3] == [[0, 10], [50, 60], [100, 110]]
@@ -289,7 +289,7 @@ class TestPriorityInheritance:
         main = sb.add_vcpu("m", 2_000, 10_000)
         hog_v = sb.add_vcpu("hog", 9_000, 90_000)
         t = sb.add_task("t", main, program=io_cycle(100, 500, 200))
-        sb.add_task("hog", hog_v, program=busy_loop(1_000), demanding=True)
+        sb.add_task("hog", hog_v, program=busy_loop(1_000))
         sb.touch()
         sim.run_until(2_000)
         # completion work ran promptly even though the hog was runnable:
@@ -339,8 +339,8 @@ class TestBudgetLaws:
         sim, sb = mini()
         a = sb.add_vcpu("a", 3, 10)
         b = sb.add_vcpu("b", 5, 17)
-        sb.add_task("ta", a, program=busy_loop(2), demanding=True)
-        sb.add_task("tb", b, program=busy_loop(3), demanding=True)
+        sb.add_task("ta", a, program=busy_loop(2))
+        sb.add_task("tb", b, program=busy_loop(3))
         sb.touch()
         sim.run_until(100_000)
         finish_run(sim)
@@ -368,8 +368,8 @@ class TestBudgetLaws:
             sim, sb = mini()
             a = sb.add_vcpu("a", 3 * scale, 10 * scale)
             b = sb.add_vcpu("b", 5 * scale, 17 * scale)
-            sb.add_task("ta", a, program=busy_loop(scale), demanding=True)
-            sb.add_task("tb", b, program=busy_loop(scale), demanding=True)
+            sb.add_task("ta", a, program=busy_loop(scale))
+            sb.add_task("tb", b, program=busy_loop(scale))
             sb.touch()
             sim.run_until(3_000 * scale)
             return [(r.t // scale, r.entity) for r in sim.trace.rows

@@ -34,11 +34,11 @@ def _steps(rng, lo: int, hi: int) -> int:
 def _program(rng):
     kind = rng.choice(("busy", "busy", "io_cycle", "logger"))
     if kind == "busy":
-        return busy_loop(_steps(rng, 1, 8)), True
+        return busy_loop(_steps(rng, 1, 8))
     if kind == "io_cycle":
         return io_cycle(_steps(rng, 1, 4), _steps(rng, 1, 10),
-                        rng.choice((0, 100, 500))), False
-    return periodic_logger(_steps(rng, 20, 100), _steps(rng, 1, 2)), False
+                        rng.choice((0, 100, 500)))
+    return periodic_logger(_steps(rng, 20, 100), _steps(rng, 1, 2))
 
 
 def build_setup(seed: int) -> Simulator:
@@ -58,9 +58,7 @@ def build_setup(seed: int) -> Simulator:
             v = sb.add_vcpu(f"{name}.m{i}", _steps(rng, 1, period // 1000),
                             period)
             for j in range(1 if rng.random() < 0.75 else 2):
-                program, demanding = _program(rng)
-                sb.add_task(f"{v.id}.t{j}", v, program=program,
-                            demanding=demanding)
+                sb.add_task(f"{v.id}.t{j}", v, program=_program(rng))
         sandboxes.append(sb)
     if rng.random() < 0.5:
         wait = rng.choice(("busy", "sleep"))
@@ -72,10 +70,8 @@ def build_setup(seed: int) -> Simulator:
         vs = s1.add_vcpu("s1.snd", _steps(rng, 2, 10), _steps(rng, 20, 60))
         vr = s2.add_vcpu("s2.rcv", _steps(rng, 2, 10), _steps(rng, 20, 60))
         snd = s1.add_task("s1.snd", vs, program=pingpong_sender(
-            ch, busy_wait=rng.choice((0, 500, 1500)), wait=wait),
-            demanding=wait == "busy")
-        rcv = s2.add_task("s2.rcv", vr, program=pingpong_receiver(ch, wait=wait),
-                          demanding=wait == "busy")
+            ch, busy_wait=rng.choice((0, 500, 1500)), wait=wait))
+        rcv = s2.add_task("s2.rcv", vr, program=pingpong_receiver(ch, wait=wait))
         ch.bind(snd, rcv)
     for sb in sandboxes:
         sb.touch()
