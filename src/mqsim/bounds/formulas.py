@@ -1,9 +1,13 @@
 """Exact-arithmetic worst-case analysis of sporadic-server request/response
 round trips and of address-space migration cost.
 
-All functions work on ``fractions.Fraction`` (plain ints are accepted and
-promoted), so floor/ceil/mod boundary cases such as a request that exactly
-fills a whole number of budgets are computed without rounding error.
+Every function takes and returns exact values (``fractions.Fraction``;
+plain ints are accepted and promoted), so floor/ceil/mod boundary cases such
+as a request that exactly fills a whole number of budgets are computed
+without rounding error.  ``migration_bound`` computes on ``Fraction``.
+The round-trip bounds rescale their inputs to the common tick
+(``CommBoundInput.ticks``), the finest grid on which every parameter is
+whole, compute on integers there, and scale the results back.
 
 Two round-trip bounds live here, for a sender VCPU (C_s, T_s) and a receiver
 VCPU (C_d, T_d) exchanging a request of ``N * delta_s`` execution ticks and a
@@ -213,57 +217,60 @@ def _num(x):
     return int(fx) if fx.denominator == 1 else str(fx)
 
 
-def _guarded_step(numer: Fraction, denom: Fraction) -> int:
-    """step_f(numer/denom) with the zero-denominator conventions:
-    a vanishing gap or a vanishing partial budget degenerates to a sign test."""
-    if denom == 0:
-        return 1 if numer > 0 else 0
-    return step_f(Fraction(numer, denom))
-
-
 def comm_breakdown(inp: CommBoundInput) -> CommBoundBreakdown:
     """Evaluate the paper variant's full symbol chain for one exchange.
+
+    The chain runs on integers in the inputs' common tick
+    (``CommBoundInput.ticks``), as ``rtt_bound`` does, and each symbol is
+    scaled back to an exact ``Fraction`` at the end.
 
     Multi-period requests and responses (work exceeding a whole budget) are
     accepted and evaluated as written; the shift term E is only derived for
     sub-budget exchanges, so oracle comparisons are the authority outside
     that regime.
     """
-    c_s, t_s, c_d, t_d = inp.c_s, inp.t_s, inp.c_d, inp.t_d
-    n_work = inp.request_work
-    m_work = inp.response_work
+    scale, (c_s, t_s, c_d, t_d, n_work, m_work) = inp.ticks()
+    gap = t_s - c_s
 
-    l_s = c_s - (n_work % c_s)
-    l_d = c_d - (m_work % c_d)
-    s = math.ceil(n_work / c_s) * t_s - l_s
-    d = math.ceil(m_work / c_d) * t_d - l_d
+    l_s = c_s - n_work % c_s
+    l_d = c_d - m_work % c_d
+    s = -(-n_work // c_s) * t_s - l_s
+    d = -(-m_work // c_d) * t_d - l_d
 
-    r = Fraction(d - l_s, 1) / t_s
-    r_floor = math.floor(r)
+    r_floor = (d - l_s) // t_s
     # identical to D - L_s - floor(R)*T_s but stays in [0, T_s) even when D < L_s
     q = (d - l_s) % t_s
-    p = q - (t_s - c_s)
+    p = q - gap
 
-    f_gap = _guarded_step(q, t_s - c_s)           # 1 iff response lands inside a window
-    b = c_s - f_gap * p
-    f_case1 = step_f(Fraction(d, l_s))            # 0 iff response fits the leftover budget
-    w = s + d + f_case1 * (l_s + r_floor * t_s - b - d)
+    # step(Q / gap), a sign test on Q when there is no gap:
+    # 1 iff the response lands inside a window
+    f_gap = (q > 0) if gap == 0 else (q >= gap)
+    b = c_s - p if f_gap else c_s
+    f_case1 = d >= l_s                            # 0 iff response fits the leftover budget
+    w = s + d + (l_s + r_floor * t_s - b - d if f_case1 else 0)
 
-    n1 = (1 - f_gap) * min(q, c_s - l_s)
-    n2 = f_gap * _guarded_step(c_s - l_s, p) * min(t_s - c_s, c_s - l_s - p)
+    n1 = 0 if f_gap else min(q, c_s - l_s)
+    # f_gap = 1 means Q >= T_s - C_s, so P >= 0 wherever step((C_s - L_s) / P)
+    # counts: it is C_s - L_s >= P.  At P = 0 the chain's sign test on
+    # C_s - L_s changes nothing, as N2 = min(T_s - C_s, C_s - L_s) is then 0
+    # whenever C_s - L_s is.
+    n2 = min(gap, c_s - l_s - p) if f_gap and c_s - l_s >= p else 0
     e = max(n1, n2)
-    w_shifted = w + e
 
-    if f_case1 == 0:
+    if not f_case1:
         case_id = 1
-    elif f_gap == 0:
+    elif not f_gap:
         case_id = 2 if r_floor <= 0 else 4
     else:
         case_id = 3 if r_floor <= 0 else 5
 
-    return CommBoundBreakdown(inp=inp, l_s=l_s, l_d=l_d, s=s, d=d, r=r,
-                              r_floor=r_floor, q=q, p=p, b=b, n1=n1, n2=n2,
-                              e=e, w=w, w_shifted=w_shifted, case_id=case_id)
+    return CommBoundBreakdown(
+        inp=inp, l_s=Fraction(l_s, scale), l_d=Fraction(l_d, scale),
+        s=Fraction(s, scale), d=Fraction(d, scale), r=Fraction(d - l_s, t_s),
+        r_floor=r_floor, q=Fraction(q, scale), p=Fraction(p, scale),
+        b=Fraction(b, scale), n1=Fraction(n1, scale), n2=Fraction(n2, scale),
+        e=Fraction(e, scale), w=Fraction(w, scale),
+        w_shifted=Fraction(w + e, scale), case_id=case_id)
 
 
 def worst_rtt(inp: CommBoundInput) -> Fraction:

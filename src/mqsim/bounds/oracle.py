@@ -8,14 +8,15 @@ and the response through the windows with exact integer arithmetic, and
 returns the largest observed round trip (send start to response completion).
 
 The sweep is separable.  A send at ``sigma`` ends its request at
-``te(sigma)`` whatever the phase, and the response then takes
-``D(x) = _resp_end(..., phi, te, m) - te``, which depends only on the
-request's end offset ``x = (te - phi) mod T_d`` in the receiver's period.
-Every phase is swept, so every send meets every ``x``, and the maximum is
-the longest request ``te - sigma`` over ``sigma`` plus the worst ``D`` over
-``x`` in [0, T_d): O(C_s + T_d) helper calls per input instead of
-O(C_s * T_d), with the same maximum as the two-dimensional (phi, sigma)
-grid.
+``te(sigma)`` whatever the phase, and the response then takes a time
+``D(x)`` that depends only on the request's end offset
+``x = (te - phi) mod T_d`` in the receiver's period.  Every phase is swept,
+so every send meets every ``x``, and the maximum is the longest request
+``te - sigma`` over ``sigma`` plus the worst ``D`` over ``x`` in [0, T_d):
+two plain loops of C_s and T_d steps per input instead of C_s * T_d, with
+the same maximum as the two-dimensional (phi, sigma) grid.  Each step
+advances the work through the windows tick-exactly; no offset is skipped
+and nothing is cached between inputs.
 
 The sweep runs on the inputs' common tick (``CommBoundInput.ticks``), so a
 rational input is swept exactly: every phase and send offset the windows can
@@ -29,46 +30,47 @@ from fractions import Fraction
 from mqsim.bounds.formulas import CommBoundInput
 
 
-def _send_end(c_s: int, t_s: int, n: int, sigma: int) -> int:
-    """Completion time of n ticks of sender work starting at window offset sigma."""
-    r = c_s - sigma
-    if n <= r:
-        return sigma + n
-    rem = n - r
-    full = rem // c_s
-    part = rem - full * c_s
-    if part == 0:
-        return full * t_s + c_s
-    return (full + 1) * t_s + part
-
-
-def _resp_end(c_d: int, t_d: int, phi: int, t0: int, work: int) -> int:
-    """Completion time of the receiver's work, first runnable instant >= t0."""
-    if work == 0:
-        return t0
-    x = (t0 - phi) % t_d
-    if x >= c_d:
-        t = t0 + (t_d - x)
-        x = 0
-    else:
-        t = t0
-    avail = c_d - x
-    if work <= avail:
-        return t + work
-    w2 = work - avail
-    k1 = (w2 - 1) // c_d
-    last = w2 - k1 * c_d
-    return t + avail + (t_d - c_d) + k1 * t_d + last
-
-
 def _worst(c_s, t_s, c_d, t_d, n, m):
     """Largest round trip, with the first send offset that reaches it and
     that send's request and response times: the longest request over the
     send offsets plus the longest response over the offsets in [0, T_d)."""
-    response = max(_resp_end(c_d, t_d, 0, x, m) - x for x in range(t_d))
-    req = [_send_end(c_s, t_s, n, s) - s for s in range(c_s)]
-    request = max(req)
-    return request + response, req.index(request), request, response
+    # the request: n ticks of sender work from each offset sigma of a window
+    # [0, C_s), advanced through the sender's later windows
+    request, first = -1, 0
+    for sigma in range(c_s):
+        rem = n - (c_s - sigma)
+        if rem <= 0:
+            took = n
+        else:
+            full = rem // c_s
+            part = rem - full * c_s
+            if part == 0:
+                took = full * t_s + c_s - sigma
+            else:
+                took = (full + 1) * t_s + part - sigma
+        if took > request:
+            request, first = took, sigma
+    # the response: m ticks of receiver work from each offset x of the
+    # receiver's period, waiting out the gap first when x lies past C_d
+    response = -1
+    gap_d = t_d - c_d
+    for x in range(t_d):
+        if m == 0:
+            took = 0
+        else:
+            if x >= c_d:
+                wait, avail = t_d - x, c_d
+            else:
+                wait, avail = 0, c_d - x
+            if m <= avail:
+                took = wait + m
+            else:
+                w2 = m - avail
+                k1 = (w2 - 1) // c_d
+                took = wait + avail + gap_d + k1 * t_d + (w2 - k1 * c_d)
+        if took > response:
+            response = took
+    return request + response, first, request, response
 
 
 def sweep_backend_name() -> str:

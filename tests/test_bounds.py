@@ -1,5 +1,8 @@
 """Exact-arithmetic checks of the analytic engine."""
 
+import dataclasses
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +12,7 @@ from mqsim.bounds import (CommBoundInput, MigrationCriterionInput,
                           comm_breakdown, migration_bound, observation_delay,
                           rtt_bound, rtt_segments, step_f)
 from mqsim.errors import DegenerateInput
+from oracle_reference import comm_breakdown_reference
 
 
 def test_step_function():
@@ -133,6 +137,82 @@ class TestCommBreakdown:
         inp = CommBoundInput.from_work(2, 10, 3, 15, 5, 4)
         assert worst_rtt(inp) == 48
         assert worst_rtt_shifted(inp) == 49
+
+
+def assert_same_breakdown(inp):
+    """``comm_breakdown`` equals the Fraction transcription of the chain in
+    every field, value and type, and in its JSON view."""
+    got, ref = comm_breakdown(inp), comm_breakdown_reference(inp)
+    for f in dataclasses.fields(ref):
+        a, b = getattr(got, f.name), getattr(ref, f.name)
+        assert (a, type(a)) == (b, type(b)), (f.name, inp)
+    assert got.as_dict() == ref.as_dict(), inp
+
+
+class TestIntegerChain:
+    """``comm_breakdown`` runs on the common tick; the Fraction
+    transcription in ``oracle_reference`` is its reference."""
+
+    def test_equals_reference_exhaustively_up_to_6(self):
+        r = range(1, 7)
+        vcpus = [(c, t) for c in r for t in r if c <= t]
+        count = 0
+        for (c_s, t_s), (c_d, t_d), n, m in itertools.product(
+                vcpus, vcpus, r, range(0, 7)):
+            assert_same_breakdown(CommBoundInput.from_work(c_s, t_s, c_d, t_d, n, m))
+            count += 1
+        assert count == 18522
+
+    def test_equals_reference_on_rational_inputs(self):
+        """Seeded inputs whose parameters have denominators up to 6."""
+        rng = random.Random(23)
+        for _ in range(1000):
+            q = [rng.randint(1, 6) for _ in range(6)]
+            c_s = Fraction(rng.randint(1, 30), q[0])
+            t_s = c_s + Fraction(rng.randint(0, 40), q[1])
+            c_d = Fraction(rng.randint(1, 30), q[2])
+            t_d = c_d + Fraction(rng.randint(0, 40), q[3])
+            n = Fraction(rng.randint(1, 60), q[4])
+            m = Fraction(rng.randint(0, 60), q[5])
+            assert_same_breakdown(CommBoundInput.from_work(c_s, t_s, c_d, t_d, n, m))
+
+    @pytest.mark.parametrize("args, holds", [
+        # zero gap (C_s = T_s): the in-window step is a sign test on Q
+        pytest.param((3, 3, 2, 2, 1, 4), lambda bd: bd.q == 0 and bd.case_id == 2,
+                     id="zero-gap-q0"),
+        pytest.param((3, 3, 2, 2, 1, 3), lambda bd: bd.q == 1 and bd.case_id == 3,
+                     id="zero-gap-q1"),
+        pytest.param((5, 5, 7, 7, 5, 3), lambda bd: bd.q == 3 and bd.case_id == 1,
+                     id="zero-gap-case1"),
+        # P < 0 with C_s - L_s > 0
+        pytest.param((2, 10, 3, 15, 5, 4), lambda bd: bd.p == -1 and bd.l_s == 1,
+                     id="negative-p-worked-example"),
+        pytest.param((3, 4, 2, 2, 1, 4), lambda bd: bd.p == -1 and bd.l_s == 2,
+                     id="negative-p"),
+        pytest.param((3, 4, 2, 2, 1, 3), lambda bd: bd.p == 0 and bd.n2 == 1,
+                     id="zero-p-positive-n2"),
+        pytest.param((20, 100, 20, 100, 5, 0), lambda bd: bd.d == -20,
+                     id="zero-response"),
+        # whole-budget multiples: L = C
+        pytest.param((20, 100, 20, 100, 5, 20), lambda bd: bd.l_d == 20 and bd.d == 80,
+                     id="whole-budget-response"),
+        pytest.param((5, 20, 3, 15, 5, 1), lambda bd: bd.l_s == 5 and bd.s == 15,
+                     id="whole-budget-request"),
+        pytest.param((4, 12, 3, 9, 8, 6), lambda bd: (bd.l_s, bd.l_d) == (4, 3),
+                     id="whole-budget-both"),
+        pytest.param((1, 5, Fraction(3, 2), Fraction(15, 2), Fraction(5, 2), 2),
+                     lambda bd: bd.w_shifted == Fraction(49, 2)
+                     and bd.r == Fraction(27, 10), id="worked-example-halved"),
+    ])
+    def test_named_edge_cases(self, args, holds):
+        inp = CommBoundInput.from_work(*args)
+        assert holds(comm_breakdown(inp))
+        assert_same_breakdown(inp)
+
+    def test_byte_form_on_its_fine_tick(self):
+        assert_same_breakdown(CommBoundInput(
+            c_s=2, t_s=10, c_d=3, t_d=15, n_bytes=2048, m_bytes=2048,
+            delta_s=Fraction(5, 2048), delta_d=Fraction(4, 2048), k=Fraction(1, 3)))
 
 
 class TestRttBound:

@@ -10,8 +10,8 @@ import pytest
 
 from mqsim.bounds import (CommBoundInput, brute_force_worst_rtt, comm_breakdown,
                           rtt_bound)
-from mqsim.bounds.oracle import _send_end, _worst, worst_point
-from oracle_reference import worst_2d
+from mqsim.bounds.oracle import _worst, worst_point
+from oracle_reference import _send_end, worst_2d
 
 
 def test_worked_example_bracket():

@@ -10,11 +10,10 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from mqsim.bounds import (CommBoundInput, brute_force_worst_rtt, comm_breakdown,
                           observation_delay, rtt_bound)
-from mqsim.bounds.oracle import _resp_end, _send_end
 from mqsim.clock import SandboxClock
 from mqsim.core import Simulator
 from mqsim.sched import admit
-from oracle_reference import worst_2d
+from oracle_reference import _resp_end, _send_end, worst_2d
 
 
 @given(offset=st.integers(-10**6, 10**6), t=st.integers(0, 10**9))
