@@ -682,7 +682,7 @@ class Sandbox:
         """Settle the running VCPU up to now, then loop: pick, switch, complete
         the zero-length steps, and arm the advance.  A VCPU left without timed
         work is stopped and the loop picks again; one with timed work must
-        survive a second pick, as its completed steps can wake others."""
+        survive a second pick when steps completed, as they can wake others."""
         self._settle()
         while True:
             best = None if self.blocked_until > self.sim.now else self._pick()
@@ -693,9 +693,10 @@ class Sandbox:
             if best is None:
                 self._cancel_advance()
                 return
-            if not self._resolve_instant(best):
+            completed = self._resolve_instant(best)
+            if completed is None:
                 self._stop_running()
-            elif self._pick() is best:
+            elif not completed or self._pick() is best:
                 self._arm_advance(best)
                 return
 
@@ -796,33 +797,38 @@ class Sandbox:
         else:
             task.pending_result = None
 
-    def _resolve_instant(self, v: Vcpu) -> bool:
+    def _resolve_instant(self, v: Vcpu) -> bool | None:
         """Complete the zero-length work at the head of ``v``'s queue (finished
-        steps, steps to install, polls whose message landed); return whether
-        ``v`` may now run timed work.  A completed step can make ``v``
+        steps, steps to install, polls whose message landed).  Return None
+        when ``v`` may not run timed work, else whether anything completed.
+        False means the head was runnable at the first look, so nothing a
+        pick reads has changed since the pick that chose ``v`` (switching to
+        it only closes and opens chunks).  A completed step can make ``v``
         ineligible: a preemption point short of budget raises its floor."""
+        completed = False
         while True:
             work = v.current_work()
             if work is None:
-                return False
+                return None
             if isinstance(work, IoJob):
                 if work.remaining:
-                    return True
+                    return completed
                 self._complete_io(v)
             elif work.step is None:
                 self._install_next(work)
             elif isinstance(work.step, PollWait):
                 msg = work.step.channel.take(work)
                 if msg is None:
-                    return True
+                    return completed
                 work.step = None
                 work.pending_result = msg
             elif work.step.remaining:
-                return True
+                return completed
             else:
                 self._complete_step(v)
                 if v._eligible_since is None:
-                    return False
+                    return None
+            completed = True
 
     def _install_next(self, task: Task):
         if task.steps is None:
