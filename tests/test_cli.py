@@ -1,6 +1,8 @@
 """Command-line interface: calculators, experiments, scenario runs."""
 
 import json
+import pathlib
+import shlex
 
 import pytest
 
@@ -14,6 +16,19 @@ def last_json(capsys):
         if line.startswith("{"):
             return json.loads(line)
     raise AssertionError(f"no JSON in output: {out}")
+
+
+def _transcript(name):
+    """``$ mqsim ...`` command lines in a file beside this one, each followed
+    by its exact output: [[command, output line, ...], ...]."""
+    blocks = []
+    path = pathlib.Path(__file__).with_name(name)
+    for line in path.read_text().splitlines(keepends=True):
+        if line.startswith("$ "):
+            blocks.append([line[2:].strip()])
+        else:
+            blocks[-1].append(line)
+    return blocks
 
 
 class TestBoundsCli:
@@ -53,6 +68,15 @@ class TestBoundsCli:
         payload = last_json(capsys)
         assert payload["observed_max"] == "49/2"
         assert payload["observed_over_completion"] == 1.0
+
+    @pytest.mark.parametrize("command, expected", [
+        pytest.param(block[0], "".join(block[1:]), id=block[0][len("mqsim "):])
+        for block in _transcript("bounds_comm_oracle.txt")])
+    def test_comm_oracle_full_output(self, capsys, command, expected):
+        """The whole table and JSON line, pinned byte for byte: integer,
+        rational, fig12-sized, zero-gap with zero response, and ``--k``."""
+        assert main(shlex.split(command)[1:]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_migration_violation(self, capsys):
         rc = main(["bounds", "migration", "--delta", "20", "--cm", "10",

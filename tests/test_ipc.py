@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mqsim.bounds import observation_delay
 from mqsim.core import CostModel, Simulator
 from mqsim import experiments
 from mqsim.errors import AccessDenied, MailboxFull, SelfChannel
@@ -176,3 +177,17 @@ class TestExchangeTiming:
         assert snd.rtt_samples == stepped.rtt_samples[:12]
         assert rtts == [rtt for _, _, rtt in stepped.rtt_samples[:12]]
         assert sim.now == snd.rtt_samples[-1][1] + rtts[-1]
+
+    def test_response_at_window_end_waits_for_the_next_window(self):
+        """A response written exactly at the end of the sender's window
+        (t mod 100 = 20 for a 20/100 sender) is seen only in the next
+        window, T_s - C_s = 80 later: the rule of ``observation_delay``."""
+        segments = []
+        experiments.pingpong_case_max_rtt(20, 100, 20, 100, 5, 5, 0, 0, 6,
+                                          keep_segments=segments)
+        at_end = [(seg, end) for seg in segments
+                  for end in [seg["start"] + seg["request"] + seg["response"]]
+                  if end % 100 == 20]
+        assert at_end
+        for seg, end in at_end:
+            assert seg["observation"] == observation_delay(20, 100, end) == 80
