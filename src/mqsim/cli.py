@@ -152,12 +152,14 @@ def _cmd_bounds(args) -> int:
         if args.oracle:
             observed = brute_force_worst_rtt(inp)
             payload["observed_max"] = str(observed)
-            payload["observed_over_bound"] = float(observed / bd.w_shifted)
+            # the paper variant's W' can be zero or negative on valid inputs
+            payload["observed_over_bound"] = (float(observed / bd.w_shifted)
+                                              if bd.w_shifted > 0 else None)
             payload["observed_over_completion"] = float(observed / sound.completion)
         table = list(_flat({k: v for k, v in payload.items() if k != "inputs"}))
         width = max(len(k) for k, _ in table)
         for key, val in table:
-            print(f"{key:<{width}}  {val}")
+            print(f"{key:<{width}}  {'null' if val is None else val}")
         print(json.dumps(payload, sort_keys=True))
         return 0
     if args.bounds_command == "migration":

@@ -110,9 +110,12 @@ class TestCommBreakdown:
         assert bd.w_shifted >= bd.w
 
     def test_division_guard_zero_partial_budget(self):
-        # P == 0 falls back to comparing C_s against L_s
+        # Q == 0, so P = Q - (T_s - C_s) is negative: case 4 with no shift.
+        # P == 0 itself is TestIntegerChain's ``zero-p-positive-n2``.
         bd = comm_breakdown(CommBoundInput.from_work(10, 20, 10, 30, 5, 5))
-        assert bd.p == -10 or bd.p == 0 or bd.p > 0  # evaluates without error
+        assert (bd.p, bd.q, bd.n2) == (-10, 0, 0)
+        assert bd.w == bd.w_shifted == 30
+        assert bd.case_id == 4
 
     def test_zero_request_raises_unless_opted_in(self):
         with pytest.raises(DegenerateInput):

@@ -69,6 +69,22 @@ class TestBoundsCli:
         assert payload["observed_max"] == "49/2"
         assert payload["observed_over_completion"] == 1.0
 
+    @pytest.mark.parametrize("params, w_shifted", [
+        pytest.param(["3", "3", "2", "2", "1", "4"], 0, id="zero-w-shifted"),
+        pytest.param(["1", "1", "1", "1", "1", "0"], -1, id="negative-w-shifted"),
+    ])
+    def test_comm_oracle_ratio_is_null_without_positive_w_shifted(
+            self, capsys, params, w_shifted):
+        """The paper variant's W' can be zero or negative on valid inputs;
+        the ratio to it is then null, not a crash or a negative number."""
+        flags = ["--cs", "--ts", "--cd", "--td", "--req", "--resp"]
+        argv = [x for pair in zip(flags, params) for x in pair]
+        assert main(["bounds", "comm", *argv, "--oracle"]) == 0
+        payload = last_json(capsys)
+        assert payload["W_shifted"] == w_shifted
+        assert payload["observed_over_bound"] is None
+        assert payload["observed_over_completion"] == 1.0
+
     @pytest.mark.parametrize("command, expected", [
         pytest.param(block[0], "".join(block[1:]), id=block[0][len("mqsim "):])
         for block in _transcript("bounds_comm_oracle.txt")])
