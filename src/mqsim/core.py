@@ -62,12 +62,13 @@ _new_event = tuple.__new__
 
 
 class Simulator:
-    """Global event queue plus the sandbox registry."""
+    """Global event queue plus the sandbox registry.  With
+    ``keep_rows=False`` its trace discards every row (see ``SimTrace``)."""
 
-    def __init__(self, cost_model: CostModel | None = None):
+    def __init__(self, cost_model: CostModel | None = None, keep_rows: bool = True):
         self.now = 0
         self.cost = cost_model or CostModel()
-        self.trace = SimTrace()
+        self.trace = SimTrace(keep_rows=keep_rows)
         self.sandboxes: dict[str, object] = {}
         self.channels: dict[tuple, object] = {}
         self._heap: list[SimEvent] = []

@@ -19,6 +19,12 @@ class SelfIpi(MqsimError):
     """An IPI was addressed to the sandbox that sent it."""
 
 
+# --- trace ---
+
+class RowsNotKept(MqsimError):
+    """A trace built with ``keep_rows=False`` was asked for its rows' bytes."""
+
+
 # --- scheduling ---
 
 class MalformedVcpu(MqsimError):

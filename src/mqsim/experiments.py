@@ -179,8 +179,10 @@ def pingpong_case_max_rtt(c_s, t_s, c_d, t_d, request_work, response_work,
     """One sweep point: a fresh two-sandbox exchange loop; returns the
     largest round trip observed in ``exchanges`` exchanges.  ``keep_samples``
     collects the round-trip samples, ``keep_segments`` their segments (see
-    ``exchange_segments``)."""
-    sim = Simulator(CostModel())
+    ``exchange_segments``).  The point's trace keeps rows only when
+    ``keep_segments`` is given, because only the segments read them; the
+    simulated events, and so the samples, are the same either way."""
+    sim = Simulator(CostModel(), keep_rows=keep_segments is not None)
     s = Sandbox(sim, "s")
     d = Sandbox(sim, "d")
     vs = s.add_vcpu("vs", c_s, t_s)

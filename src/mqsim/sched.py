@@ -219,8 +219,15 @@ class Vcpu:
 
     def note_eligibility(self):
         """Record ``eligible()`` at the current time; called after every
-        change to one of its inputs."""
-        self.record_eligible(self.eligible(), self.sandbox.sim.now)
+        change to one of its inputs.  Only the last record at a tick counts:
+        zero-length intervals are dropped and intervals meeting at a tick
+        are merged."""
+        if self.eligible():
+            if self._eligible_since is None:
+                self._eligible_since = self.sandbox.sim.now
+        elif self._eligible_since is not None:
+            self._write_eligible(self.sandbox.sim.now)
+            self._eligible_since = None
 
     def current_work(self):
         q = self._queue
@@ -280,10 +287,10 @@ class Vcpu:
         sb = self.sandbox
         fire = max(sb.sim.now, sb.clock.to_true(entry.t_local))
         entry.event_id = sb.sim.post_event(
-            fire, "budget-replenishment", sb.id, entry,
-            lambda ev, v=self, e=entry: v._on_replenish(e))
+            fire, "budget-replenishment", sb.id, entry, self._on_replenish)
 
-    def _on_replenish(self, entry: ReplEntry):
+    def _on_replenish(self, ev):
+        entry = ev.payload
         if entry not in self.repl:
             return
         self.repl.remove(entry)
@@ -305,35 +312,23 @@ class Vcpu:
 
     # -- bookkeeping for post-hoc checks ------------------------------------
 
-    def record_exec(self, start: int, end: int):
-        if end <= start:
-            return
-        if self.exec_intervals and self.exec_intervals[-1][1] == start:
-            self.exec_intervals[-1][1] = end
-        else:
-            self.exec_intervals.append([start, end])
-
-    def record_eligible(self, flag: bool, t: int):
-        """Open or close the eligible interval at ``t``.  Only the last flag
-        recorded at a tick counts: zero-length intervals are dropped and
-        intervals meeting at a tick are merged."""
-        if flag and self._eligible_since is None:
-            self._eligible_since = t
-        elif not flag and self._eligible_since is not None:
-            if t > self._eligible_since:
-                ivs = self.eligible_intervals
-                if ivs and ivs[-1][1] == self._eligible_since:
-                    ivs[-1][1] = t
-                else:
-                    ivs.append([self._eligible_since, t])
-            self._eligible_since = None
+    def _write_eligible(self, t: int):
+        """Write the open eligible interval up to ``t``, merged into the last
+        interval if that ends where it starts."""
+        since = self._eligible_since
+        if t > since:
+            ivs = self.eligible_intervals
+            if ivs and ivs[-1][1] == since:
+                ivs[-1][1] = t
+            else:
+                ivs.append([since, t])
 
     def close_eligible(self, t: int):
         """Write the open eligible interval up to ``t``.  It stays open, so a
         run that goes on extends it."""
         if self._eligible_since is not None:
-            self.record_eligible(False, t)
-            self.record_eligible(True, t)
+            self._write_eligible(t)
+            self._eligible_since = t
 
 
 def consume_budget(vcpu: Vcpu, amount: int, now_local: int):
@@ -451,7 +446,7 @@ class Sandbox:
         self.pending_ipis: list[tuple[str, object, object]] = []
         self._vcpu_index = 0
         self._advance_event: int | None = None
-        self._advance_handler = lambda ev: self._on_advance()
+        self._advance_handler = self._on_advance
         self._timed = None  # the IoJob or step whose ``remaining`` runs down
         self._by_priority: list[Vcpu] = []  # main VCPUs by static priority key
         self._io_vcpus: list[Vcpu] = []
@@ -712,7 +707,12 @@ class Sandbox:
             if self._timed is not None:
                 self._timed.remaining -= dt
                 assert self._timed.remaining >= 0
-            v.record_exec(self.chunk_start_true, now)
+            start = self.chunk_start_true
+            ivs = v.exec_intervals
+            if ivs and ivs[-1][1] == start:
+                ivs[-1][1] = now
+            else:
+                ivs.append([start, now])
             self.chunk_start_true = now
 
     def _start_running(self, v: Vcpu):
@@ -747,12 +747,12 @@ class Sandbox:
         """Post the event at which ``v``'s current step or budget runs out,
         replacing the one armed before.  A monitor chunk runs to its end."""
         self._cancel_advance()
-        work = v.current_work()
-        timed = work if isinstance(work, IoJob) else work.step
-        self.monitor_busy = isinstance(timed, MonitorChunk)
+        work = v._queue[0]
+        timed = work if type(work) is IoJob else work.step
+        self.monitor_busy = type(timed) is MonitorChunk
         if self.monitor_busy:
             dur = timed.remaining
-        elif isinstance(timed, PollWait):  # budget-bound busy wait
+        elif type(timed) is PollWait:  # budget-bound busy wait
             timed = None
             dur = v.budget
         else:
@@ -762,7 +762,7 @@ class Sandbox:
         self._advance_event = self.sim.post_event(
             self.sim.now + dur, "advance", self.id, None, self._advance_handler)
 
-    def _on_advance(self):
+    def _on_advance(self, ev):
         """The running VCPU's step or budget ran out: complete the step, stop
         the VCPU if its budget is gone, and dispatch."""
         self._advance_event = None
@@ -806,23 +806,24 @@ class Sandbox:
         it only closes and opens chunks).  A completed step can make ``v``
         ineligible: a preemption point short of budget raises its floor."""
         completed = False
+        queue = v._queue
         while True:
-            work = v.current_work()
-            if work is None:
+            if not queue:
                 return None
-            if isinstance(work, IoJob):
+            work = queue[0]
+            if type(work) is IoJob:
                 if work.remaining:
                     return completed
                 self._complete_io(v)
-            elif work.step is None:
+            elif (st := work.step) is None:
                 self._install_next(work)
-            elif isinstance(work.step, PollWait):
-                msg = work.step.channel.take(work)
+            elif type(st) is PollWait:
+                msg = st.channel.take(work)
                 if msg is None:
                     return completed
                 work.step = None
                 work.pending_result = msg
-            elif work.step.remaining:
+            elif st.remaining:
                 return completed
             else:
                 self._complete_step(v)

@@ -2,13 +2,16 @@
 
 The canonical export is line-oriented CSV with columns
 ``t_true_us, sandbox, event_kind, entity, detail``; reproducibility checks
-hash those exact bytes with 64-bit FNV-1a.
+hash those exact bytes with 64-bit FNV-1a.  A trace built with
+``keep_rows=False`` discards every row, for runs that never read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+from mqsim.errors import RowsNotKept
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -40,14 +43,29 @@ class TraceRow(NamedTuple):
 _new_row = tuple.__new__
 
 
+def _discard(t, sandbox, kind, entity="", detail=""):
+    pass
+
+
 @dataclass
 class SimTrace:
     rows: list = field(default_factory=list)
+    keep_rows: bool = True
+
+    def __post_init__(self):
+        # bound here rather than tested in ``add``, which runs once per row
+        if not self.keep_rows:
+            self.add = _discard
 
     def add(self, t: int, sandbox: str, kind: str, entity: str = "", detail: str = ""):
         self.rows.append(_new_row(TraceRow, (t, sandbox, kind, entity, detail)))
 
+    def _check_kept(self):
+        if not self.keep_rows:
+            raise RowsNotKept("this trace was built with keep_rows=False")
+
     def to_csv(self) -> str:
+        self._check_kept()
         lines = [_HEADER]
         lines.extend(row.csv() for row in self.rows)
         return "\n".join(lines) + "\n"
@@ -63,6 +81,7 @@ class SimTrace:
         one multiply-add, looked up under the low byte and the row's text in
         a memo that lives for this call only.
         """
+        self._check_kept()
         prime, mask = _FNV_PRIME, _MASK
         h = _fold(_FNV_OFFSET, f"{_HEADER}\n".encode())
         memo = {}

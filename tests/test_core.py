@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from mqsim.clock import SandboxClock
 from mqsim.core import CostModel, Simulator
-from mqsim.errors import PastTimestamp, SelfIpi, UnknownSandbox
+from mqsim.errors import PastTimestamp, RowsNotKept, SelfIpi, UnknownSandbox
 from mqsim.sched import Sandbox
 from mqsim.trace import SimTrace, fnv1a64
 from mqsim.workloads import busy_loop
@@ -265,6 +265,26 @@ class TestTrace:
     def test_hash_property(self, rows):
         trace = trace_of(rows)
         assert trace.hash() == fnv1a64(trace.to_csv().encode())
+
+    def test_rowless_trace_keeps_nothing_and_refuses_its_bytes(self):
+        """A trace built with ``keep_rows=False`` discards every row; its
+        hash and CSV would be those of an empty run, so it refuses both."""
+        trace = SimTrace(keep_rows=False)
+        trace.add(5, "a", "wakeup", "t", "x=1")
+        trace.add(6, "a", "deplete")
+        assert trace.rows == [] and len(trace) == 0
+        with pytest.raises(RowsNotKept):
+            trace.hash()
+        with pytest.raises(RowsNotKept):
+            trace.to_csv()
+
+    def test_simulator_passes_keep_rows_to_its_trace(self):
+        assert Simulator().trace.keep_rows
+        sim = Simulator(keep_rows=False)
+        sim.trace.add(0, "sb1", "wakeup")
+        assert not sim.trace.keep_rows and sim.trace.rows == []
+        with pytest.raises(RowsNotKept):
+            sim.trace.hash()
 
     def test_hash_never_builds_the_csv(self, monkeypatch):
         sim = run_setup(22)

@@ -113,6 +113,23 @@ def test_fig12_point_golden():
     assert worst == 288000
 
 
+def test_fig12_point_segments_golden():
+    """The same point split by ``exchange_segments``: (start, sigma,
+    request, response, observation) of each exchange."""
+    c_s, t_s = experiments.FIG12_SENDER
+    cfg = experiments.FIG12_CASES["case5"]
+    segments = []
+    experiments.pingpong_case_max_rtt(
+        c_s, t_s, *cfg["receiver"], experiments.FIG12_REQUEST_WORK,
+        cfg["response_work"], 12_000, 101_000, 8, keep_segments=segments)
+    assert [(e["start"], e["sigma"], e["request"], e["response"], e["observation"])
+            for e in segments] == [
+        (12000, 12000, 5000, 89000, 0), (118000, 18000, 85000, 133000, 64000),
+        (412000, 12000, 5000, 149000, 34000), (612000, 12000, 5000, 179000, 4000),
+        (812000, 12000, 5000, 209000, 74000), (1112000, 12000, 5000, 139000, 44000),
+        (1312000, 12000, 5000, 169000, 14000), (1512000, 12000, 5000, 199000, 0)]
+
+
 @pytest.mark.parametrize("seed", CORPUS_SEEDS)
 def test_corpus_golden(seed):
     assert fingerprint(run_setup(seed)) == CORPUS_GOLDEN[seed]

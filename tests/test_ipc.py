@@ -178,6 +178,22 @@ class TestExchangeTiming:
         assert rtts == [rtt for _, _, rtt in stepped.rtt_samples[:12]]
         assert sim.now == snd.rtt_samples[-1][1] + rtts[-1]
 
+    @pytest.mark.parametrize("case", sorted(experiments.FIG12_CASES))
+    def test_sweep_point_is_the_same_without_rows(self, case):
+        """A sweep point keeps trace rows only for ``keep_segments``; its
+        maximum and samples are the same either way."""
+        c_s, t_s = experiments.FIG12_SENDER
+        cfg = experiments.FIG12_CASES[case]
+        c_d, t_d = cfg["receiver"]
+        args = (c_s, t_s, c_d, t_d, experiments.FIG12_REQUEST_WORK,
+                cfg["response_work"], 7_000, t_d // 3, 6)
+        rowless, kept, segments = [], [], []
+        worst = experiments.pingpong_case_max_rtt(*args, keep_samples=rowless)
+        assert experiments.pingpong_case_max_rtt(
+            *args, keep_samples=kept, keep_segments=segments) == worst
+        assert rowless == kept and len(kept) == len(segments) == 6
+        assert worst == max(rtt for _, _, rtt in kept)
+
     def test_response_at_window_end_waits_for_the_next_window(self):
         """A response written exactly at the end of the sender's window
         (t mod 100 = 20 for a 20/100 sender) is seen only in the next
