@@ -7,7 +7,10 @@ as a request that exactly fills a whole number of budgets are computed
 without rounding error.  ``migration_bound`` computes on ``Fraction``.
 The round-trip bounds rescale their inputs to the common tick
 (``CommBoundInput.ticks``), the finest grid on which every parameter is
-whole, compute on integers there, and scale the results back.
+whole, compute on integers there, and scale the results back.  Each input
+computes that tick and its parameters in it once, when it is built; the
+bounds and the oracle read those integers rather than redo the rational
+arithmetic on every call.
 
 Two round-trip bounds live here, for a sender VCPU (C_s, T_s) and a receiver
 VCPU (C_d, T_d) exchanging a request of ``N * delta_s`` execution ticks and a
@@ -55,11 +58,17 @@ per-period budget windows for backlogged VCPUs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
 Rational = Union[int, Fraction]
+
+
+def _exact(x: int, scale: int) -> Fraction:
+    """``x`` ticks of ``1/scale`` as a Fraction; the one-argument
+    constructor skips the gcd when the tick is whole."""
+    return Fraction(x) if scale == 1 else Fraction(x, scale)
 
 
 def step_f(x: Rational) -> int:
@@ -117,7 +126,11 @@ from mqsim.errors import DegenerateInput  # noqa: E402  (kept near its only user
 
 @dataclass(frozen=True)
 class CommBoundInput:
-    """Parameters of one request/response exchange between two VCPUs."""
+    """Parameters of one request/response exchange between two VCPUs.
+
+    ``request_work`` (N * delta_s) and ``response_work`` (M * delta_d + K)
+    are computed once, as are the common tick and the parameters in it that
+    ``ticks()`` returns."""
     c_s: Fraction
     t_s: Fraction
     c_d: Fraction
@@ -128,19 +141,39 @@ class CommBoundInput:
     delta_d: Fraction = Fraction(0)
     k: Fraction = Fraction(0)
     allow_zero_request: bool = False
+    request_work: Fraction = field(init=False, repr=False, compare=False)
+    response_work: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        put = object.__setattr__
         for name in ("c_s", "t_s", "c_d", "t_d", "delta_s", "delta_d", "k"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if not (0 < self.c_s <= self.t_s):
+            v = getattr(self, name)
+            if type(v) is not Fraction:
+                put(self, name, Fraction(v))
+        # N * delta_s and M * delta_d + K on numerators and denominators:
+        # one Fraction each instead of a Fraction per operation
+        ds, dd, k = self.delta_s, self.delta_d, self.k
+        put(self, "request_work",
+            _exact(self.n_bytes * ds.numerator, ds.denominator))
+        put(self, "response_work",
+            _exact(self.m_bytes * dd.numerator * k.denominator
+                   + k.numerator * dd.denominator, dd.denominator * k.denominator))
+        vals = (self.c_s, self.t_s, self.c_d, self.t_d, self.request_work,
+                self.response_work)
+        scale = math.lcm(*[v.denominator for v in vals])
+        ticks = tuple([v.numerator * (scale // v.denominator) for v in vals])
+        put(self, "_scale", scale)
+        put(self, "_ticks", ticks)
+        c_s, t_s, c_d, t_d, n, _ = ticks
+        if not (0 < c_s <= t_s):
             raise ValueError("sender VCPU must satisfy 0 < C_s <= T_s")
-        if not (0 < self.c_d <= self.t_d):
+        if not (0 < c_d <= t_d):
             raise ValueError("receiver VCPU must satisfy 0 < C_d <= T_d")
         if self.n_bytes < 0 or self.m_bytes < 0:
             raise ValueError("message sizes must be non-negative")
-        if min(self.delta_s, self.delta_d, self.k) < 0:
+        if min(self.delta_s.numerator, self.delta_d.numerator, self.k.numerator) < 0:
             raise ValueError("per-byte costs and service time must be non-negative")
-        if self.request_work == 0 and not self.allow_zero_request:
+        if n == 0 and not self.allow_zero_request:
             raise DegenerateInput("request cost N*delta_s is zero")
 
     @classmethod
@@ -151,25 +184,20 @@ class CommBoundInput:
         (service time folded in)."""
         return cls(c_s=c_s, t_s=t_s, c_d=c_d, t_d=t_d,
                    n_bytes=1, m_bytes=1,
-                   delta_s=Fraction(request_work), delta_d=Fraction(response_work),
-                   k=Fraction(0), allow_zero_request=allow_zero_request)
-
-    @property
-    def request_work(self) -> Fraction:
-        return self.n_bytes * self.delta_s
-
-    @property
-    def response_work(self) -> Fraction:
-        return self.m_bytes * self.delta_d + self.k
+                   delta_s=request_work, delta_d=response_work,
+                   allow_zero_request=allow_zero_request)
 
     def ticks(self, *extra: Rational) -> tuple[int, list[int]]:
         """Ticks per unit of the finest grid on which every parameter is
         whole, and (C_s, T_s, C_d, T_d, request work, response work, *extra)
-        in those ticks."""
-        vals = [self.c_s, self.t_s, self.c_d, self.t_d, self.request_work,
-                self.response_work, *map(Fraction, extra)]
-        scale = math.lcm(*(v.denominator for v in vals))
-        return scale, [v.numerator * (scale // v.denominator) for v in vals]
+        in those ticks.  The per-byte costs enter only through the works."""
+        if not extra:
+            return self._scale, list(self._ticks)
+        extra = [x if type(x) is Fraction else Fraction(x) for x in extra]
+        scale = math.lcm(self._scale, *(x.denominator for x in extra))
+        up = scale // self._scale
+        return scale, [v * up for v in self._ticks] + [
+            x.numerator * (scale // x.denominator) for x in extra]
 
 
 @dataclass(frozen=True)
@@ -213,7 +241,7 @@ class CommBoundBreakdown:
 
 
 def _num(x):
-    fx = Fraction(x)
+    fx = x if type(x) is Fraction else Fraction(x)
     return int(fx) if fx.denominator == 1 else str(fx)
 
 
@@ -265,12 +293,12 @@ def comm_breakdown(inp: CommBoundInput) -> CommBoundBreakdown:
         case_id = 3 if r_floor <= 0 else 5
 
     return CommBoundBreakdown(
-        inp=inp, l_s=Fraction(l_s, scale), l_d=Fraction(l_d, scale),
-        s=Fraction(s, scale), d=Fraction(d, scale), r=Fraction(d - l_s, t_s),
-        r_floor=r_floor, q=Fraction(q, scale), p=Fraction(p, scale),
-        b=Fraction(b, scale), n1=Fraction(n1, scale), n2=Fraction(n2, scale),
-        e=Fraction(e, scale), w=Fraction(w, scale),
-        w_shifted=Fraction(w + e, scale), case_id=case_id)
+        inp=inp, l_s=_exact(l_s, scale), l_d=_exact(l_d, scale),
+        s=_exact(s, scale), d=_exact(d, scale), r=Fraction(d - l_s, t_s),
+        r_floor=r_floor, q=_exact(q, scale), p=_exact(p, scale),
+        b=_exact(b, scale), n1=_exact(n1, scale), n2=_exact(n2, scale),
+        e=_exact(e, scale), w=_exact(w, scale),
+        w_shifted=_exact(w + e, scale), case_id=case_id)
 
 
 def worst_rtt(inp: CommBoundInput) -> Fraction:
@@ -360,7 +388,7 @@ def _segment_ticks(c_s, t_s, c_d, t_d, n, m, sigma):
 
 def _segments(scale: int, point: tuple) -> RttSegments:
     """(sigma, request, response, observation) in ticks, as exact segments."""
-    return RttSegments(*(Fraction(x, scale) for x in point))
+    return RttSegments(*(_exact(x, scale) for x in point))
 
 
 def rtt_segments(inp: CommBoundInput, sigma: Rational) -> RttSegments:
@@ -401,6 +429,6 @@ def rtt_bound(inp: CommBoundInput) -> RttBound:
     # ties go to the point that is worse on the other total
     completion = max(points, key=lambda p: (p[1] + p[2], p[3]))
     observed = max(points, key=lambda p: (p[1] + p[2] + p[3], p[1] + p[2]))
-    return RttBound(inp=inp, tick=Fraction(1, scale),
+    return RttBound(inp=inp, tick=_exact(1, scale),
                     worst_completion=_segments(scale, completion),
                     worst_observed=_segments(scale, observed))

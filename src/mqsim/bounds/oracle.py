@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from mqsim.bounds.formulas import CommBoundInput
+from mqsim.bounds.formulas import CommBoundInput, _exact
 
 
 def _worst(c_s, t_s, c_d, t_d, n, m):
@@ -87,7 +87,7 @@ def brute_force_worst_rtt(inp: CommBoundInput, resolution: int = 1) -> Fraction:
         raise ValueError("the sweep steps by the inputs' common tick: "
                          "resolution must be 1")
     scale, vals = inp.ticks()
-    return Fraction(_worst(*vals)[0], scale)
+    return _exact(_worst(*vals)[0], scale)
 
 
 def worst_point(inp: CommBoundInput) -> dict:
@@ -97,5 +97,5 @@ def worst_point(inp: CommBoundInput) -> dict:
     phase.  Any (phi, sigma) pair that reaches the maximum has both."""
     scale, vals = inp.ticks()
     _, sigma, request, response = _worst(*vals)
-    return {"sigma": Fraction(sigma, scale), "request": Fraction(request, scale),
-            "response": Fraction(response, scale)}
+    return {"sigma": _exact(sigma, scale), "request": _exact(request, scale),
+            "response": _exact(response, scale)}

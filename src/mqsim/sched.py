@@ -298,8 +298,10 @@ class Vcpu:
         assert self.budget <= self.capacity, f"{self.id}: budget over capacity"
         self.note_eligibility()
         sb = self.sandbox
-        sb.sim.trace.add(sb.sim.now, sb.id, "replenish", self.id,
-                         f"amount={entry.amount};budget={self.budget}")
+        trace = sb.sim.trace
+        if trace.keep_rows:
+            trace.add(sb.sim.now, sb.id, "replenish", self.id,
+                      f"amount={entry.amount};budget={self.budget}")
         sb.touch()
 
     def pending_event_locals(self) -> list[int]:
@@ -547,6 +549,7 @@ class Sandbox:
         scheduled on this sandbox until it ends.  ``then()`` runs when it
         ends, after queued IPIs are delivered and before the sandbox
         dispatches."""
+        self._settle()
         self._stop_running()
         self.blocked_until = self.sim.now + duration
         self.sim.post_event(self.blocked_until, "kernel-unblock", self.id,
@@ -609,6 +612,7 @@ class Sandbox:
     def close_run(self):
         """Close the open execution chunk and eligible intervals at now, so
         post-run bookkeeping (conservation, intervals) is exact."""
+        self._settle()
         self._stop_running()
         for v in self.vcpus.values():
             v.close_eligible(self.sim.now)
@@ -674,11 +678,16 @@ class Sandbox:
         return best
 
     def touch(self):
-        """Settle the running VCPU up to now, then loop: pick, switch, complete
-        the zero-length steps, and arm the advance.  A VCPU left without timed
-        work is stopped and the loop picks again; one with timed work must
-        survive a second pick when steps completed, as they can wake others."""
+        """Settle the running VCPU up to now, then dispatch."""
         self._settle()
+        self._dispatch()
+
+    def _dispatch(self):
+        """With the running VCPU settled up to now, loop: pick, switch,
+        complete the zero-length steps, and arm the advance.  A VCPU left
+        without timed work is stopped and the loop picks again; one with
+        timed work must survive a second pick when steps completed, as they
+        can wake others."""
         while True:
             best = None if self.blocked_until > self.sim.now else self._pick()
             if best is not self.running:
@@ -719,17 +728,20 @@ class Sandbox:
         self.running = v
         self.chunk_start_true = self.sim.now
         v.begin_chunk(self.now_local())
-        work = v.current_work()
-        entity = work.id if isinstance(work, Task) else (
-            work.task.id if isinstance(work, IoJob) else "")
-        self.sim.trace.add(self.sim.now, self.id, "ctx_switch", v.id,
-                           f"task={entity};budget={v.budget}")
+        trace = self.sim.trace
+        if trace.keep_rows:
+            work = v.current_work()
+            entity = work.id if isinstance(work, Task) else (
+                work.task.id if isinstance(work, IoJob) else "")
+            trace.add(self.sim.now, self.id, "ctx_switch", v.id,
+                      f"task={entity};budget={v.budget}")
 
     def _stop_running(self):
+        """Take the running VCPU off the CPU.  Callers settle it up to now
+        first; every settle after the first at one instant charges nothing."""
         v = self.running
         if v is None:
             return
-        self._settle()
         self.running = None
         self._cancel_advance()
         depleted = v.budget <= 0
@@ -775,7 +787,7 @@ class Sandbox:
                 self._complete_step(v)
         if self.running is v and v.budget <= 0 and not self.monitor_busy:
             self._stop_running()
-        self.touch()
+        self._dispatch()
 
     def _complete_io(self, v: Vcpu):
         job = v.io_jobs.popleft()

@@ -5,7 +5,9 @@ call per offset, and ``worst_2d`` sweeps every (phi, sigma) pair of the grid
 through them: the two-dimensional reference for the separable oracle, which
 inlines its own window arithmetic.  ``comm_breakdown_reference`` is the
 paper variant's symbol chain transcribed on ``Fraction``, the reference for
-``comm_breakdown``, which evaluates the chain on the inputs' common tick."""
+``comm_breakdown``, which evaluates the chain on the inputs' common tick.
+``ticks_reference`` computes that tick from the fields on every call, the
+reference for ``CommBoundInput.ticks``, which reads it from the input."""
 
 import math
 from fractions import Fraction
@@ -103,3 +105,15 @@ def comm_breakdown_reference(inp) -> CommBoundBreakdown:
     return CommBoundBreakdown(inp=inp, l_s=l_s, l_d=l_d, s=s, d=d, r=r,
                               r_floor=r_floor, q=q, p=p, b=b, n1=n1, n2=n2,
                               e=e, w=w, w_shifted=w_shifted, case_id=case_id)
+
+
+def ticks_reference(inp, *extra):
+    """The common tick from the fields: the lcm of the denominators of C_s,
+    T_s, C_d, T_d, the request work N * delta_s, the response work
+    M * delta_d + K and each extra, all taken as ``Fraction``, and each of
+    those values in that tick."""
+    vals = [Fraction(v) for v in (
+        inp.c_s, inp.t_s, inp.c_d, inp.t_d, inp.n_bytes * inp.delta_s,
+        inp.m_bytes * inp.delta_d + inp.k, *extra)]
+    scale = math.lcm(*(v.denominator for v in vals))
+    return scale, [v.numerator * (scale // v.denominator) for v in vals]

@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 
 from mqsim.bounds import (CommBoundInput, MigrationCriterionInput,
-                          check_migration_criterion, clock_adjustment,
-                          comm_breakdown, migration_bound, observation_delay,
-                          rtt_bound, rtt_segments, step_f)
+                          brute_force_worst_rtt, check_migration_criterion,
+                          clock_adjustment, comm_breakdown, migration_bound,
+                          observation_delay, rtt_bound, rtt_segments, step_f)
+from mqsim.bounds.oracle import worst_point
 from mqsim.errors import DegenerateInput
-from oracle_reference import comm_breakdown_reference
+from oracle_reference import comm_breakdown_reference, ticks_reference
 
 
 def test_step_function():
@@ -142,6 +143,18 @@ class TestCommBreakdown:
         assert worst_rtt_shifted(inp) == 49
 
 
+def _rational_input(rng):
+    """Seeded rational parameters with denominators up to 6."""
+    q = [rng.randint(1, 6) for _ in range(6)]
+    c_s = Fraction(rng.randint(1, 30), q[0])
+    t_s = c_s + Fraction(rng.randint(0, 40), q[1])
+    c_d = Fraction(rng.randint(1, 30), q[2])
+    t_d = c_d + Fraction(rng.randint(0, 40), q[3])
+    n = Fraction(rng.randint(1, 60), q[4])
+    m = Fraction(rng.randint(0, 60), q[5])
+    return CommBoundInput.from_work(c_s, t_s, c_d, t_d, n, m)
+
+
 def assert_same_breakdown(inp):
     """``comm_breakdown`` equals the Fraction transcription of the chain in
     every field, value and type, and in its JSON view."""
@@ -170,14 +183,7 @@ class TestIntegerChain:
         """Seeded inputs whose parameters have denominators up to 6."""
         rng = random.Random(23)
         for _ in range(1000):
-            q = [rng.randint(1, 6) for _ in range(6)]
-            c_s = Fraction(rng.randint(1, 30), q[0])
-            t_s = c_s + Fraction(rng.randint(0, 40), q[1])
-            c_d = Fraction(rng.randint(1, 30), q[2])
-            t_d = c_d + Fraction(rng.randint(0, 40), q[3])
-            n = Fraction(rng.randint(1, 60), q[4])
-            m = Fraction(rng.randint(0, 60), q[5])
-            assert_same_breakdown(CommBoundInput.from_work(c_s, t_s, c_d, t_d, n, m))
+            assert_same_breakdown(_rational_input(rng))
 
     @pytest.mark.parametrize("args, holds", [
         # zero gap (C_s = T_s): the in-window step is a sign test on Q
@@ -216,6 +222,107 @@ class TestIntegerChain:
         assert_same_breakdown(CommBoundInput(
             c_s=2, t_s=10, c_d=3, t_d=15, n_bytes=2048, m_bytes=2048,
             delta_s=Fraction(5, 2048), delta_d=Fraction(4, 2048), k=Fraction(1, 3)))
+
+
+def assert_same_ticks(inp, *extra):
+    got, ref = inp.ticks(*extra), ticks_reference(inp, *extra)
+    assert got == ref, (inp, extra)
+    assert type(got[0]) is int and all(type(v) is int for v in got[1]), inp
+
+
+class TestTicks:
+    """``ticks()`` reads the tick each input computed once; the reference
+    recomputes it from the fields."""
+
+    def test_integer_inputs_exhaustively_up_to_6(self):
+        r = range(1, 7)
+        vcpus = [(c, t) for c in r for t in r if c <= t]
+        for (c_s, t_s), (c_d, t_d), n, m in itertools.product(
+                vcpus, vcpus, r, range(0, 7)):
+            inp = CommBoundInput.from_work(c_s, t_s, c_d, t_d, n, m)
+            assert_same_ticks(inp)
+            assert_same_ticks(inp, c_s - 1)
+
+    def test_rational_inputs(self):
+        rng = random.Random(29)
+        for _ in range(1000):
+            inp = _rational_input(rng)
+            assert_same_ticks(inp)
+            assert_same_ticks(inp, inp.c_s * Fraction(rng.randint(0, 5), 6))
+
+    def test_byte_form(self):
+        """The per-byte costs enter only through the works: 2048 bytes at
+        1/8 tick per byte is 256 ticks, on a whole tick."""
+        for c_s, t_s in ((2, 10), (Fraction(3, 2), 5), (7, Fraction(29, 3))):
+            inp = CommBoundInput(c_s=c_s, t_s=t_s, c_d=3, t_d=15, n_bytes=2048,
+                                 m_bytes=2048, delta_s=Fraction(1, 8),
+                                 delta_d=Fraction(1, 8))
+            assert_same_ticks(inp)
+            assert_same_ticks(inp, Fraction(1, 2))
+        assert inp.ticks()[0] == 3 and inp.request_work == 256
+        whole = CommBoundInput(c_s=2, t_s=10, c_d=3, t_d=15, n_bytes=2048,
+                               m_bytes=2048, delta_s=Fraction(1, 8),
+                               delta_d=Fraction(1, 8))
+        assert whole.ticks() == (1, [2, 10, 3, 15, 256, 256])
+        assert whole.ticks(Fraction(1, 2)) == (2, [4, 20, 6, 30, 512, 512, 1])
+        served = CommBoundInput(c_s=2, t_s=10, c_d=3, t_d=15, n_bytes=2048,
+                                m_bytes=1000, delta_s=Fraction(1, 8),
+                                delta_d=Fraction(1, 8), k=Fraction(1, 3))
+        assert_same_ticks(served)
+        assert_same_ticks(served, Fraction(1, 2))
+        assert served.ticks() == (3, [6, 30, 9, 45, 768, 376])
+
+    def test_rational_extras(self):
+        rng = random.Random(31)
+        inputs = [CommBoundInput.from_work(2, 10, 3, 15, 5, 4),
+                  CommBoundInput.from_work(1, 5, Fraction(3, 2), Fraction(15, 2),
+                                           Fraction(5, 2), 2)]
+        for inp in inputs:
+            for _ in range(200):
+                extra = [Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+                         for _ in range(rng.randint(1, 3))]
+                assert_same_ticks(inp, *extra)
+            assert_same_ticks(inp, 3, Fraction(7, 4), 0)
+
+    def test_repeated_calls_do_not_share_the_list(self):
+        inp = CommBoundInput.from_work(2, 10, 3, 15, 5, 4)
+        inp.ticks()[1][0] = 99
+        assert inp.ticks() == (1, [2, 10, 3, 15, 5, 4])
+
+
+class TestTypes:
+    """Every rational value the bound engine hands out is a ``Fraction``,
+    on integer inputs as on rational ones."""
+
+    INPUT_FIELDS = ("c_s", "t_s", "c_d", "t_d", "delta_s", "delta_d", "k",
+                    "request_work", "response_work")
+
+    @pytest.mark.parametrize("inp", [
+        CommBoundInput.from_work(2, 10, 3, 15, 5, 4),
+        CommBoundInput.from_work(20, 100, 20, 100, 5, 0),
+        CommBoundInput.from_work(1, 5, Fraction(3, 2), Fraction(15, 2),
+                                 Fraction(5, 2), 2),
+        CommBoundInput(c_s=2, t_s=10, c_d=3, t_d=15, n_bytes=2048, m_bytes=2048,
+                       delta_s=Fraction(1, 8), delta_d=Fraction(1, 8)),
+        CommBoundInput(c_s=2.5, t_s=10, c_d=3, t_d=15, n_bytes=3, m_bytes=0,
+                       delta_s=Fraction(1, 3), delta_d=2, k=Fraction(1, 2)),
+    ], ids=["integer", "zero-response", "rational", "byte-form", "mixed"])
+    def test_everything_is_a_fraction(self, inp):
+        def not_fractions(obj, names):
+            return {n: type(getattr(obj, n)).__name__ for n in names
+                    if type(getattr(obj, n)) is not Fraction}
+
+        assert not_fractions(inp, self.INPUT_FIELDS) == {}
+        bound = rtt_bound(inp)
+        assert not_fractions(bound, ("tick", "completion", "observed")) == {}
+        for seg in (bound.worst_completion, bound.worst_observed,
+                    rtt_segments(inp, 0)):
+            assert not_fractions(seg, ("sigma", "request", "response",
+                                       "observation", "completion",
+                                       "observed")) == {}
+        assert type(brute_force_worst_rtt(inp)) is Fraction
+        assert {k: type(v) for k, v in worst_point(inp).items()} == {
+            "sigma": Fraction, "request": Fraction, "response": Fraction}
 
 
 class TestRttBound:

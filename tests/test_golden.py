@@ -1,6 +1,7 @@
 """Golden values: trace hashes, eligibility records and deadline misses of the
 table1 runs behind fig9-fig11, the round-trip samples of one fig12 sweep
-point, and the traces of a corpus of seeded random two-sandbox setups.
+point, the traces of a corpus of seeded random two-sandbox setups, and one
+digest over the bound engine's results on seeded criterion-3 inputs.
 Rerun equality alone would not catch a change that alters behaviour the same
 way on every run; these pin the bytes themselves.
 
@@ -8,9 +9,14 @@ Run as a script (``PYTHONPATH=src python tests/test_golden.py``) to print
 the current values in the form of the tables below, so that a change can be
 checked against its parent commit."""
 
+import hashlib
+import json
+import random
+
 import pytest
 
-from mqsim import experiments
+from mqsim import acceptance, experiments
+from mqsim.bounds import brute_force_worst_rtt, comm_breakdown, rtt_bound
 from trace_corpus import CORPUS_SEEDS, eligible_digest, fingerprint, run_setup
 
 # name: (run_table1 arguments, trace hash, trace rows, SHA-256 of every
@@ -88,6 +94,24 @@ CORPUS_GOLDEN = {
     50: ("a4e7476530bb7277", 3068, "f8a8b8cbc0764509"),
 }
 
+# SHA-256 of ``bound_engine_digest()``: 300 inputs drawn as criterion 3 draws
+# them, seeded with BOUND_ENGINE_SEED
+BOUND_ENGINE_SEED = 14
+BOUND_ENGINE_GOLDEN = "9de27fbd09e1dc100576e0699647a407885072f786d6a7fc3b0627324d22d2fd"
+
+
+def bound_engine_digest():
+    """One line per input: ``comm_breakdown``'s JSON view, the oracle's
+    maximum and ``rtt_bound``'s JSON view, hashed together."""
+    rng = random.Random(BOUND_ENGINE_SEED)
+    h = hashlib.sha256()
+    for _ in range(300):
+        inp = acceptance._random_input(rng)
+        line = [comm_breakdown(inp).as_dict(), str(brute_force_worst_rtt(inp)),
+                rtt_bound(inp).as_dict()]
+        h.update(json.dumps(line, sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
 
 @pytest.mark.parametrize("name", list(TABLE1_GOLDEN))
 def test_table1_golden(name):
@@ -135,6 +159,10 @@ def test_corpus_golden(seed):
     assert fingerprint(run_setup(seed)) == CORPUS_GOLDEN[seed]
 
 
+def test_bound_engine_golden():
+    assert bound_engine_digest() == BOUND_ENGINE_GOLDEN
+
+
 def _print_current():
     print("TABLE1_GOLDEN = {")
     for name, (kwargs, *_) in TABLE1_GOLDEN.items():
@@ -146,6 +174,7 @@ def _print_current():
     for seed in CORPUS_SEEDS:
         print(f"    {seed}: {fingerprint(run_setup(seed))!r},")
     print("}")
+    print(f"BOUND_ENGINE_GOLDEN = {bound_engine_digest()!r}")
 
 
 if __name__ == "__main__":

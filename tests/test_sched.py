@@ -73,16 +73,17 @@ class TestVcpuBasics:
         assert b.eligible_intervals == [[0, 15]]
 
     @staticmethod
-    def _check_after_touch(monkeypatch, findings) -> list:
-        """Patch ``Sandbox.touch`` to collect, after each call, the
-        ``(now, finding)`` pairs of ``findings(sb)``."""
+    def _check_after_dispatch(monkeypatch, findings) -> list:
+        """Patch ``Sandbox._dispatch``, which every touch and every advance
+        event runs, to collect, after each call, the ``(now, finding)``
+        pairs of ``findings(sb)``."""
         bad = []
-        touch = Sandbox.touch
+        dispatch = Sandbox._dispatch
 
         def checked(sb):
-            touch(sb)
+            dispatch(sb)
             bad.extend((sb.sim.now, f) for f in findings(sb))
-        monkeypatch.setattr(Sandbox, "touch", checked)
+        monkeypatch.setattr(Sandbox, "_dispatch", checked)
         return bad
 
     @staticmethod
@@ -102,26 +103,26 @@ class TestVcpuBasics:
 
     def test_record_follows_predicate_on_table1(self, monkeypatch):
         from mqsim.experiments import run_table1
-        bad = self._check_after_touch(monkeypatch, self._stale_records)
+        bad = self._check_after_dispatch(monkeypatch, self._stale_records)
         run_table1(migrate=True)
         assert bad == []
 
     def test_record_follows_predicate_on_random_setups(self, monkeypatch):
-        bad = self._check_after_touch(monkeypatch, self._stale_records)
+        bad = self._check_after_dispatch(monkeypatch, self._stale_records)
         for seed in CORPUS_SEEDS[:20]:
             run_setup(seed)
         assert bad == []
 
     def test_running_vcpu_is_the_pick_on_table1(self, monkeypatch):
         from mqsim.experiments import run_table1
-        bad = self._check_after_touch(monkeypatch, self._missed_pick)
+        bad = self._check_after_dispatch(monkeypatch, self._missed_pick)
         run_table1(migrate=True)
         assert bad == []
 
     def test_running_vcpu_is_the_pick_on_random_setups(self, monkeypatch):
         """After each dispatch the running VCPU is the pick, also when the
         running VCPU's zero-length completions woke a better one (seed 28)."""
-        bad = self._check_after_touch(monkeypatch, self._missed_pick)
+        bad = self._check_after_dispatch(monkeypatch, self._missed_pick)
         for seed in CORPUS_SEEDS:
             run_setup(seed)
         assert bad == []
@@ -133,6 +134,33 @@ class TestVcpuBasics:
         sb.add_task("t1", hp, program=busy_loop(5))
         sb.add_task("t2", fast, program=busy_loop(5))
         assert sb.pick_next() == "hp"
+
+
+class TestSettle:
+    """The running VCPU is charged up to now before it leaves the CPU."""
+
+    def _running_at_7(self):
+        sim, sb = mini()
+        a = sb.add_vcpu("a", 10, 50)
+        sb.add_task("ta", a, program=busy_loop(5))
+        sb.touch()
+        sim.run_until(7)  # one step done at 5, the next runs until 10
+        assert sb.running is a
+        return sim, sb, a
+
+    def test_close_run_charges_up_to_now(self):
+        sim, sb, a = self._running_at_7()
+        sb.close_run()
+        assert sb.running is None
+        assert (a.exec_intervals, a.budget) == ([[0, 7]], 3)
+
+    def test_kernel_block_charges_up_to_now(self):
+        sim, sb, a = self._running_at_7()
+        sb.kernel_block(20, lambda: None)
+        assert sb.running is None
+        assert (a.exec_intervals, a.budget) == ([[0, 7]], 3)
+        sim.run_until(30)  # unblocked at 27, the last 3 ticks of budget run
+        assert a.exec_intervals == [[0, 7], [27, 30]]
 
 
 class TestReplenishment:
