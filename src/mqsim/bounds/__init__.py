@@ -16,8 +16,6 @@ from mqsim.bounds.formulas import (
     rtt_bound,
     rtt_segments,
     step_f,
-    worst_rtt,
-    worst_rtt_shifted,
 )
 from mqsim.bounds.oracle import brute_force_worst_rtt, sweep_backend_name
 
@@ -37,6 +35,4 @@ __all__ = [
     "rtt_segments",
     "step_f",
     "sweep_backend_name",
-    "worst_rtt",
-    "worst_rtt_shifted",
 ]

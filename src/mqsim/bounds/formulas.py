@@ -301,18 +301,6 @@ def comm_breakdown(inp: CommBoundInput) -> CommBoundBreakdown:
         w_shifted=_exact(w + e, scale), case_id=case_id)
 
 
-def worst_rtt(inp: CommBoundInput) -> Fraction:
-    """Paper variant's W: round trip when sending starts at the end of the
-    budget."""
-    return comm_breakdown(inp).w
-
-
-def worst_rtt_shifted(inp: CommBoundInput) -> Fraction:
-    """Paper variant's W': round trip over any start position inside the
-    budget."""
-    return comm_breakdown(inp).w_shifted
-
-
 # --- the sound bound ------------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -44,10 +44,6 @@ class AddressSpace:
         if len(self.task_controls) > self.tss_limit:
             raise ValidationError(f"{self.id}: more thread records than tss_limit")
 
-    @property
-    def size_bytes(self) -> int:
-        return self.total_pages * PAGE_BYTES
-
     def pages_in_pde(self, i: int) -> int:
         done = i * self.pages_per_pde
         return max(0, min(self.pages_per_pde, self.total_pages - done))
@@ -104,7 +100,6 @@ class MigrationEngine:
         self.sim = sim
         self.threads: dict[str, tuple] = {}   # sandbox -> (vcpu, task)
         self.jobs: dict[str, MigrationJob] = {}  # in-flight, by destination
-        self.history: list[MigrationJob] = []
         self._next_job = 1
         sim.migration_engine = self
 
@@ -193,7 +188,6 @@ class MigrationEngine:
             job.bound = migration_bound(job.delta_s_worst, mv.capacity, mv.period)
             job.criterion_ok = e_s is not None and e_s >= job.bound
         self.jobs[destination] = job
-        self.history.append(job)
 
         # detach from the source scheduler; pending events are held until
         # completion or rejection

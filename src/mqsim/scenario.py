@@ -9,10 +9,10 @@ Schema (version 1) in brief::
       "cost_model": {"rdtsc_cost": 1, ...},            # optional, defaults
       "sandboxes": [
         {"id": "sb1", "clock": {"offset_us": 0, "drift_ppm": 0},
-         "admission": "exact",
+         "admission": "ll|exact|cap",
          "vcpus": [
             {"id": "v", "c_us": 20000, "t_us": 100000,
-             "kind": "main", "highest_priority": false,
+             "kind": "main|io", "highest_priority": false,
              "role": "migration" | null,
              "task": {"type": "busy|sleeper|logger|pingpong_send|pingpong_recv|io_cycle", ...},
              "address_space": {"id": "as", "total_pages": 370, ...}}]}],
@@ -28,8 +28,13 @@ Schema (version 1) in brief::
     }
 
 Task programs reference channels by id; each channel must be used by exactly
-one task per side.  Every sandbox's VCPU set must pass its own admission test
-at load time.
+one task per side.  The ping-pong tasks take ``"channel"`` and
+``"wait": "busy"|"sleep"`` (busy-poll or sleep-poll for the message, default
+busy) and ``"initial_sleep_us"``; the sender also takes ``"busy_wait_us"``
+(compute before each send), ``"pace_us"`` (align sends to multiples of it
+in local time) and ``"exchanges"`` (stop after that many; default never).
+Every sandbox's VCPU set must pass its own admission test at load time, and
+an unknown ``admission``, ``kind`` or ``wait`` value is a ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from mqsim.errors import (DestinationBusy, NotEligible, ParseError,
                           ValidationError)
 from mqsim.ipc import ExchangeProfile, establish_channel
 from mqsim.migration import AddressSpace, MigrationEngine
-from mqsim.sched import Sandbox
+from mqsim.sched import ADMISSION_MODES, VCPU_KINDS, Sandbox, admit
 
 
 @dataclass
@@ -109,14 +114,20 @@ def _validate(sc: Scenario):
             raise ValidationError(f"sandboxes: missing or duplicate id {sid!r}")
         ids.add(sid)
         mode = sb.get("admission", "ll")
+        if mode not in ADMISSION_MODES:
+            raise ValidationError(f"sandbox {sid}: admission must be one of "
+                                  f"{ADMISSION_MODES}, got {mode!r}")
         accepted = []
         for v in sb.get("vcpus", []):
             c, t = v.get("c_us"), v.get("t_us")
             if c is None or t is None or not (0 < c <= t):
                 raise ValidationError(
                     f"vcpu {v.get('id')!r} in {sid}: need 0 < c_us <= t_us")
-            if v.get("kind", "main") == "main":
-                from mqsim.sched import admit
+            kind = v.get("kind", "main")
+            if kind not in VCPU_KINDS:
+                raise ValidationError(f"vcpu {v.get('id')!r} in {sid}: kind must "
+                                      f"be one of {VCPU_KINDS}, got {kind!r}")
+            if kind == "main":
                 verdict = admit(accepted, c, t, mode)
                 if not verdict.accepted:
                     raise ValidationError(
@@ -125,6 +136,11 @@ def _validate(sc: Scenario):
                 accepted.append((c, t))
             task = v.get("task")
             if task:
+                wait = task.get("wait", "busy")
+                if wait not in workloads.WAIT_MODES:
+                    raise ValidationError(f"task of vcpu {v.get('id')!r} in {sid}: "
+                                          f"wait must be one of "
+                                          f"{workloads.WAIT_MODES}, got {wait!r}")
                 name = task.get("name", v.get("id"))
                 if name in task_home:
                     raise ValidationError(f"duplicate task name {name!r}")

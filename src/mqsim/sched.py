@@ -19,6 +19,8 @@ from fractions import Fraction
 from mqsim.errors import MalformedVcpu, NotIoVcpu, OverConsume
 
 REPL_QUEUE_CAP = 8
+VCPU_KINDS = ("main", "io")
+ADMISSION_MODES = ("ll", "exact", "cap")
 _BACKGROUND = (2, 1 << 60, 1 << 30)
 
 
@@ -174,6 +176,9 @@ class Vcpu:
                  kind: str = "main", highest_priority: bool = False):
         if period <= 0 or capacity <= 0 or capacity > period:
             raise MalformedVcpu(f"{vcpu_id}: need 0 < C <= T, got C={capacity} T={period}")
+        if kind not in VCPU_KINDS:
+            raise MalformedVcpu(f"{vcpu_id}: kind must be one of {VCPU_KINDS}, "
+                                f"got {kind!r}")
         self.sandbox = sandbox
         self.id = vcpu_id
         self.kind = kind
@@ -333,26 +338,12 @@ class Vcpu:
             self._eligible_since = t
 
 
-def consume_budget(vcpu: Vcpu, amount: int, now_local: int):
-    """Direct form of budget consumption: charge ``amount`` as one chunk that
-    ran at ``now_local`` and queue its replenishment."""
-    vcpu.begin_chunk(now_local)
-    vcpu.consume(amount)
-    vcpu.close_chunk()
-
-
 def inherit_priority(io_vcpu: Vcpu, main_vcpu: Vcpu, token: str = "explicit"):
     """I/O VCPUs run completions at the priority of the Main VCPU that issued
     the request; concurrent requests inherit the highest such priority."""
     if io_vcpu.kind != "io":
         raise NotIoVcpu(io_vcpu.id)
     io_vcpu.inherited[token] = main_vcpu.priority_key()
-
-
-def restore_priority(io_vcpu: Vcpu, token: str = "explicit"):
-    if io_vcpu.kind != "io":
-        raise NotIoVcpu(io_vcpu.id)
-    io_vcpu.inherited.pop(token, None)
 
 
 # --- admission control ---------------------------------------------------
@@ -511,23 +502,6 @@ class Sandbox:
         return admit(existing, capacity, period, mode or self.admission_mode)
 
     # -- public scheduling ops ----------------------------------------------
-
-    def pick_next(self) -> str | None:
-        """The VCPU the scheduler would run now.  Every VCPU's eligibility is
-        recorded first, so state set directly (as tests do) is seen."""
-        for v in self.vcpus.values():
-            v.note_eligibility()
-        v = self._pick()
-        return v.id if v is not None else None
-
-    def wakeup(self, task: Task):
-        if task.vcpu.migrating:
-            task.pending_wakeups.append(PendingWake(self.now_local()))
-            return
-        task.io_blocked = False
-        task.make_ready()
-        self.sim.trace.add(self.sim.now, self.id, "wakeup", task.id, "")
-        self.touch()
 
     def charge_running(self, cost: int):
         """Instantly charge the running VCPU (timestamp reads, monitor calls)."""

@@ -4,6 +4,8 @@ workload steps driven by the scheduler."""
 
 from __future__ import annotations
 
+WAIT_MODES = ("busy", "sleep")  # how a ping-pong task waits for a message
+
 
 def busy_loop(iteration_cost: int):
     """CPU-bound loop counting completed fixed-cost iterations (the frame
@@ -49,6 +51,17 @@ def io_cycle(compute_cost: int, io_latency: int, io_completion_work: int):
     return program
 
 
+def _sleep_poll(api, channel):
+    """Sleep-poll for a message: pay the poll cost, check the mailbox, and
+    sleep a poll interval while it is empty."""
+    prof = channel.profile
+    while True:
+        yield api.compute(prof.poll_cost)
+        if api.try_poll(channel) is not None:
+            return
+        yield api.sleep_for(prof.poll_interval)
+
+
 def pingpong_sender(channel, *, exchanges: int | None = None, busy_wait: int = 0,
                     initial_sleep: int = 0, pace: int | None = None,
                     wait: str = "busy"):
@@ -75,11 +88,7 @@ def pingpong_sender(channel, *, exchanges: int | None = None, busy_wait: int = 0
             if wait == "busy":
                 yield api.poll_wait(channel)
             else:
-                while True:
-                    yield api.compute(prof.poll_cost)
-                    if api.try_poll(channel) is not None:
-                        break
-                    yield api.sleep_for(prof.poll_interval)
+                yield from _sleep_poll(api, channel)
             rtt = api.local_now() - t0
             api.task.rtt_samples.append((i, t0, rtt))
             api.task.count("exchanges")
@@ -97,11 +106,7 @@ def pingpong_receiver(channel, *, initial_sleep: int = 0, wait: str = "busy"):
             if wait == "busy":
                 yield api.poll_wait(channel)
             else:
-                while True:
-                    yield api.compute(prof.poll_cost)
-                    if api.try_poll(channel) is not None:
-                        break
-                    yield api.sleep_for(prof.poll_interval)
+                yield from _sleep_poll(api, channel)
             if prof.k:
                 yield api.compute(prof.k)
             yield api.send(channel, prof.m_bytes)

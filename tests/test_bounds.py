@@ -136,11 +136,10 @@ class TestCommBreakdown:
         assert d["W"] == 48 and d["W_shifted"] == 49
         assert d["inputs"]["request_work"] == 5
 
-    def test_extraction_helpers(self):
-        from mqsim.bounds import worst_rtt, worst_rtt_shifted
-        inp = CommBoundInput.from_work(2, 10, 3, 15, 5, 4)
-        assert worst_rtt(inp) == 48
-        assert worst_rtt_shifted(inp) == 49
+    def test_w_and_w_shifted_fields(self):
+        bd = comm_breakdown(CommBoundInput.from_work(2, 10, 3, 15, 5, 4))
+        assert bd.w == 48
+        assert bd.w_shifted == 49
 
 
 def _rational_input(rng):

@@ -95,6 +95,36 @@ class TestValidation:
         with pytest.raises(ValidationError, match="duplicate"):
             load_scenario(raw)
 
+    def test_unknown_vcpu_kind(self):
+        # "Main" must not skip admission and then be scheduled as a main VCPU
+        raw = table1()
+        raw["sandboxes"][0]["vcpus"].append(
+            {"id": "extra", "c_us": 90_000, "t_us": 100_000, "kind": "Main",
+             "task": {"type": "busy", "name": "extra"}})
+        with pytest.raises(ValidationError, match="kind"):
+            load_scenario(raw)
+
+    def test_unknown_wait_mode(self):
+        raw = table1()
+        raw["sandboxes"][0]["vcpus"][2]["task"]["wait"] = "bsy"
+        with pytest.raises(ValidationError, match="wait"):
+            load_scenario(raw)
+
+    def test_unknown_admission_mode(self):
+        raw = table1()
+        raw["sandboxes"][0]["admission"] = "exactt"
+        with pytest.raises(ValidationError, match="admission"):
+            load_scenario(raw)
+
+    def test_unknown_admission_mode_without_main_vcpus(self):
+        raw = table1()
+        raw["sandboxes"][1] = {
+            "id": "sb2", "admission": "bogus",
+            "vcpus": [{"id": "io2", "c_us": 1_000, "t_us": 10_000,
+                       "kind": "io"}]}
+        with pytest.raises(ValidationError, match="admission"):
+            load_scenario(raw)
+
 
 class TestBuild:
     def test_wiring(self):

@@ -9,8 +9,8 @@ from mqsim.core import CostModel, Simulator
 from mqsim.errors import MalformedVcpu, NotIoVcpu, OverConsume
 from mqsim.metrics import (IntervalSet, budget_law_violations, finish_run,
                            replenishment_conserved)
-from mqsim.sched import (REPL_QUEUE_CAP, IoJob, Sandbox, Vcpu, admit,
-                         consume_budget, inherit_priority, restore_priority)
+from mqsim.sched import (REPL_QUEUE_CAP, Sandbox, Vcpu, admit,
+                         inherit_priority)
 from mqsim.workloads import busy_loop, io_cycle
 from trace_corpus import CORPUS_SEEDS, run_setup
 
@@ -20,6 +20,20 @@ def mini(admission="ll"):
     return sim, Sandbox(sim, "sb", admission_mode=admission)
 
 
+def run_program(capacity, period, program, until):
+    """Run one VCPU with one task on ``program`` until ``until``; return it."""
+    sim, sb = mini()
+    v = sb.add_vcpu("v", capacity, period)
+    sb.add_task("t", v, program=program)
+    sb.touch()
+    sim.run_until(until)
+    return v
+
+
+def repl_of(v) -> list:
+    return [(e.t_local, e.amount) for e in v.repl]
+
+
 class TestVcpuBasics:
     def test_malformed(self):
         _, sb = mini()
@@ -27,6 +41,11 @@ class TestVcpuBasics:
             sb.add_vcpu("bad", 30, 20)
         with pytest.raises(MalformedVcpu):
             sb.add_vcpu("bad2", 0, 20)
+
+    def test_unknown_kind_rejected(self):
+        _, sb = mini()
+        with pytest.raises(MalformedVcpu, match="kind"):
+            sb.add_vcpu("bad", 10, 20, kind="Main")
 
     def test_free_busy_loop_rejected(self):
         with pytest.raises(ValueError):
@@ -38,14 +57,21 @@ class TestVcpuBasics:
         b = sb.add_vcpu("b", 20, 100)
         sb.add_task("ta", a, program=busy_loop(5))
         sb.add_task("tb", b, program=busy_loop(5))
-        assert sb.pick_next() == "a"
+        sb.touch()
+        assert sb.running is a
+        sim.run_until(40)
+        assert a.exec_intervals == [[0, 10]]
+        assert b.exec_intervals == [[10, 30]]
 
     def test_all_depleted_is_idle(self):
         sim, sb = mini()
         a = sb.add_vcpu("a", 10, 50)
         sb.add_task("ta", a, program=busy_loop(5))
-        a.budget = 0
-        assert sb.pick_next() is None
+        sb.touch()
+        sim.run_until(20)
+        assert a.budget == 0 and sb.running is None
+        assert a.exec_intervals == [[0, 10]]
+        assert repl_of(a) == [(50, 10)]
 
     def test_replenished_vcpu_runs_again(self):
         sim, sb = mini()
@@ -62,11 +88,11 @@ class TestVcpuBasics:
         sim, sb = mini()
         a = sb.add_vcpu("a", 10, 50)
         b = sb.add_vcpu("b", 20, 100)
+        monkeypatch.setattr(Vcpu, "eligible", lambda v: v.id == "b")
         sb.add_task("ta", a, program=busy_loop(5))
         sb.add_task("tb", b, program=busy_loop(5))
-        monkeypatch.setattr(Vcpu, "eligible", lambda v: v.id == "b")
-        assert sb.pick_next() == "b"
         sb.touch()
+        assert sb.running is b
         sim.run_until(15)
         finish_run(sim)
         assert a.eligible_intervals == [] and a.exec_intervals == []
@@ -133,7 +159,8 @@ class TestVcpuBasics:
         fast = sb.add_vcpu("fast", 10, 20)
         sb.add_task("t1", hp, program=busy_loop(5))
         sb.add_task("t2", fast, program=busy_loop(5))
-        assert sb.pick_next() == "hp"
+        sb.touch()
+        assert sb.running is hp
 
 
 class TestSettle:
@@ -164,19 +191,28 @@ class TestSettle:
 
 
 class TestReplenishment:
+    """Budget chunks come from compute/sleep programs: each chunk that ends
+    (by sleep, park or depletion) queues its replenishment."""
+
+    @staticmethod
+    def chunks(*steps):
+        """A program of ``(compute, sleep_until)`` pairs, then a park."""
+        def program(api):
+            for work, wake in steps:
+                yield api.compute(work)
+                if wake is not None:
+                    yield api.sleep_until(wake)
+            yield api.park()
+        return program
+
     def test_full_chunk(self):
-        sim, sb = mini()
-        v = sb.add_vcpu("v", 10_000, 50_000)
-        consume_budget(v, 10_000, 0)
-        assert [(e.t_local, e.amount) for e in v.repl] == [(50_000, 10_000)]
+        v = run_program(10_000, 50_000, self.chunks((10_000, None)), 20_000)
+        assert repl_of(v) == [(50_000, 10_000)]
 
     def test_split_chunks(self):
-        sim, sb = mini()
-        v = sb.add_vcpu("v", 10_000, 50_000)
-        consume_budget(v, 4_000, 0)
-        consume_budget(v, 6_000, 20_000)
-        assert [(e.t_local, e.amount) for e in v.repl] == \
-            [(50_000, 4_000), (70_000, 6_000)]
+        v = run_program(10_000, 50_000,
+                        self.chunks((4_000, 20_000), (6_000, None)), 30_000)
+        assert repl_of(v) == [(50_000, 4_000), (70_000, 6_000)]
 
     def test_overrun_defers_replenishment(self):
         sim, sb = mini()
@@ -189,14 +225,14 @@ class TestReplenishment:
     def test_overconsume_rejected(self):
         sim, sb = mini()
         v = sb.add_vcpu("v", 10, 50)
+        v.begin_chunk(0)
         with pytest.raises(OverConsume):
-            consume_budget(v, 11, 0)
+            v.consume(11)
 
     def test_queue_cap_merges_oldest(self):
-        sim, sb = mini()
-        v = sb.add_vcpu("v", 100, 1000)
-        for i in range(9):
-            consume_budget(v, 1, i * 10)
+        # nine one-tick chunks at 0, 10, ..., 80
+        v = run_program(100, 1000,
+                        self.chunks(*((1, (i + 1) * 10) for i in range(9))), 100)
         assert len(v.repl) <= REPL_QUEUE_CAP
         # the two oldest merged at the later of their times
         assert v.repl[0].amount == 2
@@ -204,10 +240,7 @@ class TestReplenishment:
         assert sum(e.amount for e in v.repl) == 9
 
     def test_budget_plus_pending_is_capacity(self):
-        sim, sb = mini()
-        v = sb.add_vcpu("v", 100, 1000)
-        consume_budget(v, 30, 0)
-        consume_budget(v, 20, 100)
+        v = run_program(100, 1000, self.chunks((30, 100), (20, None)), 200)
         assert v.budget + sum(e.amount for e in v.repl) == v.capacity
 
 
@@ -261,8 +294,31 @@ class TestPriorityInheritance:
         assert io.priority_key() == long.priority_key()
         inherit_priority(io, short, token="short")
         assert io.priority_key() == short.priority_key()  # max of the two
-        restore_priority(io, "short")
+
+    def test_completed_job_gives_up_its_key(self):
+        """Through dispatch: the I/O VCPU holds the best key of its pending
+        jobs' VCPUs and gives a job's key up when that job completes."""
+        sim, sb = mini()
+        io = sb.add_vcpu("io", 2_000, 10_000, kind="io")
+        short = sb.add_vcpu("short", 1_000, 5_000)
+        long = sb.add_vcpu("long", 1_000, 20_000)
+        # short computes 0..100 and its job arrives at 1,100; long computes
+        # 100..200 and its job arrives at 1,250; each job is 500 of work
+        sb.add_task("ts", short, program=io_cycle(100, 1_000, 500))
+        sb.add_task("tl", long, program=io_cycle(100, 1_050, 500))
+        sb.touch()
+        sim.run_until(1_200)
+        assert sb.running is io
+        assert io.priority_key() == short.priority_key()
+        sim.run_until(1_300)
+        assert set(io.inherited) == {"ts", "tl"}
+        assert io.priority_key() == short.priority_key()  # max of the two
+        sim.run_until(1_650)  # short's job completed at 1,600
         assert io.priority_key() == long.priority_key()
+        assert sb.running is short  # its key now beats the I/O VCPU's
+        sim.run_until(2_250)  # long's job completed at 2,200
+        assert io.inherited == {}
+        assert [iv[0] for iv in io.exec_intervals] == [1_100, 1_700]
 
     def test_key_tie_goes_to_the_earlier_vcpu(self):
         """An I/O VCPU holding a main VCPU's own key runs first when it was
@@ -271,15 +327,17 @@ class TestPriorityInheritance:
             sim, sb = mini()
             if io_first:
                 io = sb.add_vcpu("io", 10, 100, kind="io")
-            main = sb.add_vcpu("m", 10, 100)
+            main = sb.add_vcpu("m", 50, 100)
             if not io_first:
                 io = sb.add_vcpu("io", 10, 100, kind="io")
+            # the waiter computes 0..1 and its 3-tick job arrives at 8,
+            # while the busy task runs on the main VCPU
+            sb.add_task("waiter", main, program=io_cycle(1, 7, 3))
             sb.add_task("busy", main, program=busy_loop(5))
-            parked = sb.add_task("waiter", main, program=busy_loop(5),
-                                 start_ready=False)
-            io.io_jobs.append(IoJob(parked, 3))
-            inherit_priority(io, main, token="waiter")
-            assert sb.pick_next() == ("io" if io_first else "m")
+            sb.touch()
+            sim.run_until(9)
+            assert io.inherited == {"waiter": main.priority_key()}
+            assert sb.running is (io if io_first else main)
 
     def test_order_follows_adopt_and_drop(self):
         sim, sb = mini()
@@ -288,16 +346,20 @@ class TestPriorityInheritance:
         slow = sb.add_vcpu("slow", 10, 100)
         for v in (fast, slow):
             sb.add_task(f"t.{v.id}", v, program=busy_loop(5))
-        assert sb.pick_next() == "fast"
+        sb.touch()
+        assert sb.running is fast
         sb.drop_vcpu(fast)
-        assert sb.pick_next() == "slow"
+        sb.touch()
+        assert sb.running is slow
         moved = other.add_vcpu("moved", 10, 60)
         other.add_task("t.moved", moved, program=busy_loop(5))
         other.drop_vcpu(moved)
         sb.adopt_vcpu(moved)
-        assert sb.pick_next() == "moved"
+        sb.touch()
+        assert sb.running is moved
         sb.drop_vcpu(moved)
-        assert sb.pick_next() == "slow"
+        sb.touch()
+        assert sb.running is slow
 
     def test_io_completion_wakes_task(self):
         sim, sb = mini()
@@ -357,7 +419,8 @@ class TestSleepWake:
         sb.touch()
         sim.run_until(10)
         assert not t.ready
-        sb.wakeup(t)
+        t.make_ready()
+        sb.touch()
         sim.run_until(20)
         assert t.counters["woke"] == 1
 
