@@ -80,4 +80,4 @@ class ParseError(MqsimError):
 
 
 class ValidationError(MqsimError):
-    """A scenario file parsed but violates an invariant."""
+    """A scenario file, or an argument given in code, violates an invariant."""

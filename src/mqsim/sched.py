@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mqsim.errors import MalformedVcpu, NotIoVcpu, OverConsume
+from mqsim.errors import MalformedVcpu, NotIoVcpu, OverConsume, ValidationError
 
 REPL_QUEUE_CAP = 8
 VCPU_KINDS = ("main", "io")
@@ -425,6 +425,9 @@ class Sandbox:
 
     def __init__(self, sim, sandbox_id: str, clock=None, admission_mode: str = "ll"):
         from mqsim.clock import SandboxClock
+        if admission_mode not in ADMISSION_MODES:
+            raise ValidationError(f"sandbox {sandbox_id}: admission_mode must be one "
+                                  f"of {ADMISSION_MODES}, got {admission_mode!r}")
         self.sim = sim
         self.id = sandbox_id
         self.clock = clock or SandboxClock(sandbox_id)

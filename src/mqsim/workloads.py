@@ -4,6 +4,8 @@ workload steps driven by the scheduler."""
 
 from __future__ import annotations
 
+from mqsim.errors import ValidationError
+
 WAIT_MODES = ("busy", "sleep")  # how a ping-pong task waits for a message
 
 
@@ -62,6 +64,11 @@ def _sleep_poll(api, channel):
         yield api.sleep_for(prof.poll_interval)
 
 
+def _check_wait(wait: str):
+    if wait not in WAIT_MODES:
+        raise ValidationError(f"wait must be one of {WAIT_MODES}, got {wait!r}")
+
+
 def pingpong_sender(channel, *, exchanges: int | None = None, busy_wait: int = 0,
                     initial_sleep: int = 0, pace: int | None = None,
                     wait: str = "busy"):
@@ -72,6 +79,8 @@ def pingpong_sender(channel, *, exchanges: int | None = None, busy_wait: int = 0
     ``wait`` selects busy-polling or sleep-polling for the reply.  Round-trip
     times are recorded in the sender's local clock.
     """
+    _check_wait(wait)
+
     def program(api):
         prof = channel.profile
         if initial_sleep:
@@ -98,6 +107,8 @@ def pingpong_sender(channel, *, exchanges: int | None = None, busy_wait: int = 0
 
 def pingpong_receiver(channel, *, initial_sleep: int = 0, wait: str = "busy"):
     """Responder: polls for a request, spends the service time, replies."""
+    _check_wait(wait)
+
     def program(api):
         prof = channel.profile
         if initial_sleep:

@@ -7,7 +7,7 @@ import shlex
 import pytest
 
 from mqsim.cli import main
-from mqsim.trace import fnv1a64
+from trace_corpus import blake2b64
 
 
 def last_json(capsys):
@@ -153,7 +153,7 @@ class TestRunCli:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert json.loads(capsys.readouterr().out) == summary
         written = (tmp_path / "trace.csv").read_bytes()
-        assert summary["trace_hash"] == f"{fnv1a64(written):016x}"
+        assert summary["trace_hash"] == f"{blake2b64(written):016x}"
 
     def test_unknown_scenario(self, capsys):
         with pytest.raises(Exception):

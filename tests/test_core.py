@@ -1,15 +1,18 @@
 """Event queue, clocks, IPIs, and trace reproducibility."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mqsim import trace as trace_module
 from mqsim.clock import SandboxClock
 from mqsim.core import CostModel, Simulator
 from mqsim.errors import PastTimestamp, RowsNotKept, SelfIpi, UnknownSandbox
 from mqsim.sched import Sandbox
-from mqsim.trace import SimTrace, fnv1a64
+from mqsim.trace import HASH_BLOCK_ROWS, SimTrace
 from mqsim.workloads import busy_loop
-from trace_corpus import run_setup
+from trace_corpus import blake2b64, fnv1a64, run_setup
 
 
 def trace_of(rows) -> SimTrace:
@@ -17,13 +20,6 @@ def trace_of(rows) -> SimTrace:
     for row in rows:
         trace.add(*row)
     return trace
-
-
-def fold(h: int, data: bytes) -> int:
-    """FNV-1a from state ``h``, one byte at a time."""
-    for byte in data:
-        h = ((h ^ byte) * 0x100000001B3) % 2**64
-    return h
 
 
 def collector(sim, log):
@@ -240,22 +236,40 @@ class TestTrace:
     ], ids=["empty", "single-row", "empty-fields", "non-ascii", "large-t"])
     def test_hash_folds_the_csv_bytes(self, rows):
         trace = trace_of(rows)
-        assert trace.hash() == fnv1a64(trace.to_csv().encode())
+        assert trace.hash() == blake2b64(trace.to_csv().encode())
 
-    def test_repeated_suffix_meets_every_low_byte(self):
-        # one line suffix after all 256 low bytes of the state, so the
-        # per-row memo both misses and hits, with every key it can have
-        trace = SimTrace()
-        h = fold(0xCBF29CE484222325, b"t_true_us,sandbox,event_kind,entity,detail\n")
-        low_bytes = set()
-        while len(low_bytes) < 256:
-            t = len(trace)
-            h = fold(h, f"{t},".encode())
-            low_bytes.add(h & 0xFF)
-            h = fold(h, b"sb1,msg_send,comms1,ch=sb1-sb2\n")
-            trace.add(t, "sb1", "msg_send", "comms1", "ch=sb1-sb2")
-        assert len(trace) > 256
-        assert trace.hash() == h == fnv1a64(trace.to_csv().encode())
+    @pytest.mark.parametrize("n", [1, HASH_BLOCK_ROWS - 1, HASH_BLOCK_ROWS,
+                                   HASH_BLOCK_ROWS + 1, 2 * HASH_BLOCK_ROWS + 1])
+    def test_hash_across_block_edges(self, n):
+        trace = trace_of((t, "sb1", "msg_send", f"c{t % 7}", "é" * (t % 3))
+                         for t in range(n))
+        assert trace.hash() == blake2b64(trace.to_csv().encode())
+
+    def test_hash_feeds_blocks_of_rows(self, monkeypatch):
+        """The hasher gets the header, then at most ``HASH_BLOCK_ROWS``
+        lines per update, so the whole CSV is never built."""
+        fed = []
+
+        class Recorder:
+            def __init__(self, data, digest_size):
+                self.inner = hashlib.blake2b(data, digest_size=digest_size)
+                fed.append(data)
+
+            def update(self, data):
+                self.inner.update(data)
+                fed.append(data)
+
+            def digest(self):
+                return self.inner.digest()
+
+        trace = trace_of((t, "sb1", "wakeup", "t", "")
+                         for t in range(2 * HASH_BLOCK_ROWS + 1))
+        monkeypatch.setattr(trace_module, "blake2b", Recorder)
+        h = trace.hash()
+        assert [block.count(b"\n") for block in fed] == [
+            1, HASH_BLOCK_ROWS, HASH_BLOCK_ROWS, 1]
+        assert b"".join(fed) == trace.to_csv().encode()
+        assert h == blake2b64(trace.to_csv().encode())
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(
@@ -264,7 +278,7 @@ class TestTrace:
                     st.text(max_size=6)) for _ in range(4)]), max_size=60))
     def test_hash_property(self, rows):
         trace = trace_of(rows)
-        assert trace.hash() == fnv1a64(trace.to_csv().encode())
+        assert trace.hash() == blake2b64(trace.to_csv().encode())
 
     def test_rowless_trace_keeps_nothing_and_refuses_its_bytes(self):
         """A trace built with ``keep_rows=False`` discards every row; its
@@ -288,10 +302,13 @@ class TestTrace:
 
     def test_hash_never_builds_the_csv(self, monkeypatch):
         sim = run_setup(22)
+        data = sim.trace.to_csv().encode()
+        # corpus seed 22 as pinned in test_golden.py
+        assert f"{fnv1a64(data):016x}" == "4ed370679b0296d4"
+        expected = blake2b64(data)
 
         def refuse(trace):
             raise AssertionError("hash() built the CSV")
 
         monkeypatch.setattr(SimTrace, "to_csv", refuse)
-        # corpus seed 22 as pinned in test_golden.py
-        assert f"{sim.trace.hash():016x}" == "4ed370679b0296d4"
+        assert sim.trace.hash() == expected

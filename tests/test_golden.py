@@ -1,7 +1,8 @@
-"""Golden values: trace hashes, eligibility records and deadline misses of the
-table1 runs behind fig9-fig11, the round-trip samples of one fig12 sweep
-point, the traces of a corpus of seeded random two-sandbox setups, and one
-digest over the bound engine's results on seeded criterion-3 inputs.
+"""Golden values: FNV-1a hashes of the trace CSVs, eligibility records and
+deadline misses of the table1 runs behind fig9-fig11, the round-trip samples
+of one fig12 sweep point, the traces of a corpus of seeded random
+two-sandbox setups, and one digest over the bound engine's results on seeded
+criterion-3 inputs.
 Rerun equality alone would not catch a change that alters behaviour the same
 way on every run; these pin the bytes themselves.
 
@@ -17,10 +18,11 @@ import pytest
 
 from mqsim import acceptance, experiments
 from mqsim.bounds import brute_force_worst_rtt, comm_breakdown, rtt_bound
-from trace_corpus import CORPUS_SEEDS, eligible_digest, fingerprint, run_setup
+from trace_corpus import (CORPUS_SEEDS, eligible_digest, fingerprint, fnv1a64,
+                          run_setup)
 
-# name: (run_table1 arguments, trace hash, trace rows, SHA-256 of every
-# VCPU's eligible_intervals, summed deadline misses)
+# name: (run_table1 arguments, FNV-1a of the trace CSV, trace rows, SHA-256
+# of every VCPU's eligible_intervals, summed deadline misses)
 TABLE1_GOLDEN = {
     "control": (dict(migrate=False), "b1879ecdaa898a5f", 10563,
                 "5091d8378ac6e0b7ed461e29b6621467073a964f2dd99a85ba50fb0299373162", 0),
@@ -33,8 +35,8 @@ TABLE1_GOLDEN = {
                               "74d032c720fa1b59db65c1015a7d119a2d2225ea9c4ff8a32db4245e878cbb89", 7),
 }
 
-# seed: (trace hash, trace rows, eligible-interval digest prefix) of
-# ``trace_corpus.run_setup(seed)``
+# seed: (FNV-1a of the trace CSV, trace rows, eligible-interval digest
+# prefix) of ``trace_corpus.run_setup(seed)``
 CORPUS_GOLDEN = {
     1: ("1963a88dc43f6da3", 270, "d9ea8c03bc9f16fb"),
     2: ("4c8fadaea4d1f62a", 2980, "79bb525e319df615"),
@@ -113,11 +115,15 @@ def bound_engine_digest():
     return h.hexdigest()
 
 
+def _csv_fnv(sim) -> str:
+    return f"{fnv1a64(sim.trace.to_csv().encode()):016x}"
+
+
 @pytest.mark.parametrize("name", list(TABLE1_GOLDEN))
 def test_table1_golden(name):
-    kwargs, trace_hash, rows, intervals, misses = TABLE1_GOLDEN[name]
+    kwargs, trace_fnv, rows, intervals, misses = TABLE1_GOLDEN[name]
     res = experiments.run_table1(**kwargs)
-    assert res.summary["trace_hash"] == trace_hash
+    assert _csv_fnv(res.sim) == trace_fnv
     assert len(res.sim.trace.rows) == rows
     assert eligible_digest(res.sim) == intervals
     assert sum(res.summary["deadline_misses"].values()) == misses
@@ -167,7 +173,7 @@ def _print_current():
     print("TABLE1_GOLDEN = {")
     for name, (kwargs, *_) in TABLE1_GOLDEN.items():
         res = experiments.run_table1(**kwargs)
-        print(f"    {name!r}: ({kwargs!r}, {res.summary['trace_hash']!r}, "
+        print(f"    {name!r}: ({kwargs!r}, {_csv_fnv(res.sim)!r}, "
               f"{len(res.sim.trace.rows)},\n        {eligible_digest(res.sim)!r}, "
               f"{sum(res.summary['deadline_misses'].values())}),")
     print("}\nCORPUS_GOLDEN = {")

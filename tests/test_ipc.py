@@ -7,7 +7,7 @@ import pytest
 from mqsim.bounds import observation_delay
 from mqsim.core import CostModel, Simulator
 from mqsim import experiments
-from mqsim.errors import AccessDenied, MailboxFull, SelfChannel
+from mqsim.errors import AccessDenied, MailboxFull, SelfChannel, ValidationError
 from mqsim.ipc import ExchangeProfile, establish_channel, run_pingpong
 from mqsim.sched import Sandbox
 from mqsim.workloads import pingpong_receiver, pingpong_sender
@@ -66,6 +66,12 @@ class TestEstablish:
     def test_free_exchange_rejected(self):
         with pytest.raises(ValueError):
             ExchangeProfile(n_bytes=0, m_bytes=0, k=0)
+
+    @pytest.mark.parametrize("side", [pingpong_sender, pingpong_receiver])
+    def test_unknown_wait_rejected_before_any_step(self, side):
+        _, ch, _, _ = pair(idle=True)
+        with pytest.raises(ValidationError, match="bsy"):
+            side(ch, wait="bsy")
 
 
 class TestMailbox:

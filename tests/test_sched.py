@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from mqsim.core import CostModel, Simulator
-from mqsim.errors import MalformedVcpu, NotIoVcpu, OverConsume
+from mqsim.errors import MalformedVcpu, NotIoVcpu, OverConsume, ValidationError
 from mqsim.metrics import (IntervalSet, budget_law_violations, finish_run,
                            replenishment_conserved)
 from mqsim.sched import (REPL_QUEUE_CAP, Sandbox, Vcpu, admit,
@@ -276,6 +276,12 @@ class TestAdmission:
         # rationals, but just under it must pass: 0.41 + 0.41 < 0.8284
         assert admit([(41, 100)], 41, 100, mode="ll").accepted
         assert not admit([(42, 100)], 42, 100, mode="ll").accepted
+
+    def test_unknown_mode_rejected_at_construction(self):
+        sim = Simulator()
+        with pytest.raises(ValidationError, match="admission_mode"):
+            Sandbox(sim, "a", admission_mode="bogus")
+        assert sim.sandboxes == {}
 
 
 class TestPriorityInheritance:

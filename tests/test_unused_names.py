@@ -15,10 +15,7 @@ PROGRAM = (ROOT / "src", ROOT / "perfbench")
 # - step_f is the paper's step function f(x) = 1 if x >= 1 else 0.  The chain
 #   in comm_breakdown folds it into its case tests, but the tests' reference
 #   chain (tests/oracle_reference.py) spells the paper's formulas out with it.
-# - fnv1a64 is the trace hash's definition over the CSV bytes.
-#   SimTrace.hash folds the rows to the same value without building the CSV,
-#   and the tests hold the fold to it.
-ALLOWED = {"step_f", "fnv1a64"}
+ALLOWED = {"step_f"}
 
 
 def _parse(path: Path) -> ast.Module:
