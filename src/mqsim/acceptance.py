@@ -81,7 +81,7 @@ def crit_eq1_golden(runs, fast=False):
 
 
 def crit_eq23_worked_example(runs, fast=False):
-    inp = CommBoundInput.from_work(2, 10, 3, 15, 5, 4)
+    inp = CommBoundInput(2, 10, 3, 15, 5, 4)
     bd = comm_breakdown(inp)
     expected = {"l_s": 1, "l_d": 2, "s": 29, "d": 28, "q": 7, "b": 2,
                 "w": 48, "e": 1, "w_shifted": 49}
@@ -100,7 +100,7 @@ def _random_input(rng):
     t_d = rng.randint(c_d, 500)
     n = rng.randint(1, 500)
     m = rng.randint(0, 500)
-    return CommBoundInput.from_work(c_s, t_s, c_d, t_d, n, m)
+    return CommBoundInput(c_s, t_s, c_d, t_d, n, m)
 
 
 def _overshoot(actual: dict, model: dict) -> str:
@@ -147,8 +147,8 @@ def _fig12_overshoot(case: str, ex: dict) -> str:
                                    FIG12_SENDER)
     c_s, t_s = FIG12_SENDER
     cfg = FIG12_CASES[case]
-    inp = CommBoundInput.from_work(c_s, t_s, *cfg["receiver"],
-                                   FIG12_REQUEST_WORK, cfg["response_work"])
+    inp = CommBoundInput(c_s, t_s, *cfg["receiver"], FIG12_REQUEST_WORK,
+                         cfg["response_work"])
     if ex["sigma"] >= c_s:
         return f"request started at offset {ex['sigma']}, outside the sender's window"
     model = rtt_segments(inp, ex["sigma"])

@@ -13,8 +13,10 @@ bounds and the oracle read those integers rather than redo the rational
 arithmetic on every call.
 
 Two round-trip bounds live here, for a sender VCPU (C_s, T_s) and a receiver
-VCPU (C_d, T_d) exchanging a request of ``N * delta_s`` execution ticks and a
-response of ``M * delta_d + K`` ticks.
+VCPU (C_d, T_d) exchanging a request and a response.  They read each message
+only as its execution work: ``N * delta_s`` ticks for an N-byte request and
+``M * delta_d + K`` for an M-byte response with service time K.  The caller
+(or ``mqsim.ipc``, for a channel's profile) computes those works.
 
 ``comm_breakdown`` is the paper variant: the published symbol chain, kept as
 transcribed.  Its symbols are
@@ -58,7 +60,7 @@ per-period budget windows for backlogged VCPUs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -126,71 +128,51 @@ from mqsim.errors import DegenerateInput  # noqa: E402  (kept near its only user
 
 @dataclass(frozen=True)
 class CommBoundInput:
-    """Parameters of one request/response exchange between two VCPUs.
+    """Parameters of one request/response exchange between two VCPUs: the
+    sender's (C_s, T_s), the receiver's (C_d, T_d), and the execution work
+    of the request (N * delta_s) and of the response (M * delta_d + K).
 
-    ``request_work`` (N * delta_s) and ``response_work`` (M * delta_d + K)
-    are computed once, as are the common tick and the parameters in it that
-    ``ticks()`` returns."""
+    The common tick and the parameters in it that ``ticks()`` returns are
+    computed once, when the input is built."""
     c_s: Fraction
     t_s: Fraction
     c_d: Fraction
     t_d: Fraction
-    n_bytes: int = 1
-    m_bytes: int = 1
-    delta_s: Fraction = Fraction(0)
-    delta_d: Fraction = Fraction(0)
-    k: Fraction = Fraction(0)
-    allow_zero_request: bool = False
-    request_work: Fraction = field(init=False, repr=False, compare=False)
-    response_work: Fraction = field(init=False, repr=False, compare=False)
+    request_work: Fraction
+    response_work: Fraction
 
     def __post_init__(self):
         put = object.__setattr__
-        for name in ("c_s", "t_s", "c_d", "t_d", "delta_s", "delta_d", "k"):
+        vals = []
+        for name in ("c_s", "t_s", "c_d", "t_d", "request_work", "response_work"):
             v = getattr(self, name)
             if type(v) is not Fraction:
-                put(self, name, Fraction(v))
-        # N * delta_s and M * delta_d + K on numerators and denominators:
-        # one Fraction each instead of a Fraction per operation
-        ds, dd, k = self.delta_s, self.delta_d, self.k
-        put(self, "request_work",
-            _exact(self.n_bytes * ds.numerator, ds.denominator))
-        put(self, "response_work",
-            _exact(self.m_bytes * dd.numerator * k.denominator
-                   + k.numerator * dd.denominator, dd.denominator * k.denominator))
-        vals = (self.c_s, self.t_s, self.c_d, self.t_d, self.request_work,
-                self.response_work)
+                v = Fraction(v)
+                put(self, name, v)
+            vals.append(v)
         scale = math.lcm(*[v.denominator for v in vals])
         ticks = tuple([v.numerator * (scale // v.denominator) for v in vals])
         put(self, "_scale", scale)
         put(self, "_ticks", ticks)
-        c_s, t_s, c_d, t_d, n, _ = ticks
+        c_s, t_s, c_d, t_d, n, m = ticks
         if not (0 < c_s <= t_s):
             raise ValueError("sender VCPU must satisfy 0 < C_s <= T_s")
         if not (0 < c_d <= t_d):
             raise ValueError("receiver VCPU must satisfy 0 < C_d <= T_d")
-        if self.n_bytes < 0 or self.m_bytes < 0:
-            raise ValueError("message sizes must be non-negative")
-        if min(self.delta_s.numerator, self.delta_d.numerator, self.k.numerator) < 0:
-            raise ValueError("per-byte costs and service time must be non-negative")
-        if n == 0 and not self.allow_zero_request:
-            raise DegenerateInput("request cost N*delta_s is zero")
+        if n < 0 or m < 0:
+            raise ValueError("request and response work must be non-negative")
+        if n == 0:
+            raise DegenerateInput("request work N*delta_s is zero")
 
     @classmethod
-    def from_work(cls, c_s, t_s, c_d, t_d, request_work, response_work,
-                  allow_zero_request: bool = False) -> "CommBoundInput":
-        """Build an input directly from total execution costs: the request
-        costs ``request_work`` ticks and the response ``response_work`` ticks
-        (service time folded in)."""
-        return cls(c_s=c_s, t_s=t_s, c_d=c_d, t_d=t_d,
-                   n_bytes=1, m_bytes=1,
-                   delta_s=request_work, delta_d=response_work,
-                   allow_zero_request=allow_zero_request)
+    def from_work(cls, *args) -> "CommBoundInput":
+        """The constructor, positionally, under the name the benchmark calls."""
+        return cls(*args)
 
     def ticks(self, *extra: Rational) -> tuple[int, list[int]]:
         """Ticks per unit of the finest grid on which every parameter is
         whole, and (C_s, T_s, C_d, T_d, request work, response work, *extra)
-        in those ticks.  The per-byte costs enter only through the works."""
+        in those ticks."""
         if not extra:
             return self._scale, list(self._ticks)
         extra = [x if type(x) is Fraction else Fraction(x) for x in extra]

@@ -141,10 +141,10 @@ def _flat(d: dict, prefix: str = ""):
 
 def _cmd_bounds(args) -> int:
     if args.bounds_command == "comm":
-        inp = CommBoundInput.from_work(Fraction(args.cs), Fraction(args.ts),
-                                       Fraction(args.cd), Fraction(args.td),
-                                       Fraction(args.req),
-                                       Fraction(args.resp) + Fraction(args.k))
+        inp = CommBoundInput(Fraction(args.cs), Fraction(args.ts),
+                             Fraction(args.cd), Fraction(args.td),
+                             Fraction(args.req),
+                             Fraction(args.resp) + Fraction(args.k))
         bd = comm_breakdown(inp)
         sound = rtt_bound(inp)
         payload = bd.as_dict()

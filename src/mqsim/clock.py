@@ -10,7 +10,6 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class SandboxClock:
     """local(t) = t + offset + floor(t * drift_ppm / 1e6), strictly monotone."""
-    sandbox_id: str = ""
     offset: int = 0
     drift_ppm: int = 0
 

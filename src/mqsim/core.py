@@ -29,7 +29,6 @@ class CostModel:
     preemption_point_cost: int = 5   # bookkeeping at each preemption point
     migration_sched_overhead: int = 200  # per-period scheduler work on resume
     admission_cost: int = 50         # destination-side admission test
-    poll_cost: int = 10              # one mailbox poll attempt
 
     def __post_init__(self):
         for name, val in self.__dict__.items():

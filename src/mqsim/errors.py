@@ -56,7 +56,7 @@ class MailboxFull(MqsimError):
 # --- analytic bounds ---
 
 class DegenerateInput(MqsimError):
-    """Round-trip analysis was asked for a zero-length request without opting in."""
+    """Round-trip analysis was asked for a zero-length request."""
 
 
 # --- migration ---

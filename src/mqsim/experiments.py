@@ -73,18 +73,18 @@ class RunResult:
 
 
 def run_table1(migrate: bool = True, mode: str = "thread", pde_extra: int = 0,
-               sb2_offset: int = 0, until_s: int = 12) -> RunResult:
-    """Run the two-sandbox setup, optionally migrating the compute task at
-    t=5 s, sampling every second."""
+               sb2_offset: int = 0) -> RunResult:
+    """Run the two-sandbox setup for its 12 s, optionally migrating the
+    compute task at t=5 s, sampling every second."""
     raw = builtin_scenario("table1")
-    raw["run_until_s"] = until_s
     raw["sandboxes"][1]["clock"]["offset_us"] = sb2_offset
     if migrate:
         raw["migrations"][0]["mode"] = mode
         raw["migrations"][0]["pde_extra_delay_us"] = pde_extra
     else:
         raw["migrations"] = []
-    built = build(load_scenario(raw))
+    sc = load_scenario(raw)
+    built = build(sc)
     sampler = Sampler(built.sim, SECOND)
     sampler.add_counter("canny_fps_proxy",
                         lambda: built.tasks["canny"].counters.get("iterations", 0))
@@ -97,7 +97,7 @@ def run_table1(migrate: bool = True, mode: str = "thread", pde_extra: int = 0,
     sampler.add_counter("mig_thread_cycles.sb2",
                         lambda: built.vcpus["mig2"].total_consumed)
     sampler.start()
-    built.sim.run_until(until_s * SECOND)
+    built.sim.run_until(sc.run_until_us)
     finish_run(built.sim)
 
     res = RunResult(built, sampler)
@@ -111,7 +111,7 @@ def run_table1(migrate: bool = True, mode: str = "thread", pde_extra: int = 0,
     res.summary = {
         "trace_hash": f"{built.sim.trace.hash():016x}",
         "migration": job.summary() if job is not None else None,
-        "deadline_misses": deadline_miss_table(built, until_s * SECOND),
+        "deadline_misses": deadline_miss_table(built, sc.run_until_us),
     }
     return res
 
@@ -174,14 +174,14 @@ def _series_dict(res: RunResult) -> dict:
 
 def pingpong_case_max_rtt(c_s, t_s, c_d, t_d, request_work, response_work,
                           busy_wait, receiver_phase, exchanges,
-                          limit_s: int = 120, keep_samples: list = None,
-                          keep_segments: list = None) -> int:
+                          keep_samples: list = None, keep_segments: list = None) -> int:
     """One sweep point: a fresh two-sandbox exchange loop; returns the
-    largest round trip observed in ``exchanges`` exchanges.  ``keep_samples``
-    collects the round-trip samples, ``keep_segments`` their segments (see
-    ``exchange_segments``).  The point's trace keeps rows only when
-    ``keep_segments`` is given, because only the segments read them; the
-    simulated events, and so the samples, are the same either way."""
+    largest round trip observed in ``exchanges`` exchanges, run for at most
+    120 simulated seconds.  ``keep_samples`` collects the round-trip
+    samples, ``keep_segments`` their segments (see ``exchange_segments``).
+    The point's trace keeps rows only when ``keep_segments`` is given,
+    because only the segments read them; the simulated events, and so the
+    samples, are the same either way."""
     sim = Simulator(CostModel(), keep_rows=keep_segments is not None)
     s = Sandbox(sim, "s")
     d = Sandbox(sim, "d")
@@ -198,7 +198,7 @@ def pingpong_case_max_rtt(c_s, t_s, c_d, t_d, request_work, response_work,
     ch.bind(snd, rcv)
     s.touch()
     d.touch()
-    rtts = run_pingpong(sim, ch, exchanges, limit=limit_s * SECOND)
+    rtts = run_pingpong(sim, ch, exchanges, limit=120 * SECOND)
     if keep_samples is not None:
         keep_samples.extend(snd.rtt_samples)
     if keep_segments is not None:
@@ -277,8 +277,7 @@ def experiment_fig12(out_dir: str | None = None,
     for name, cfg in FIG12_CASES.items():
         c_d, t_d = cfg["receiver"]
         m_work = cfg["response_work"]
-        inp = CommBoundInput.from_work(c_s, t_s, c_d, t_d,
-                                       FIG12_REQUEST_WORK, m_work)
+        inp = CommBoundInput(c_s, t_s, c_d, t_d, FIG12_REQUEST_WORK, m_work)
         bd = comm_breakdown(inp)
         sound = rtt_bound(inp)
         oracle = brute_force_worst_rtt(inp)

@@ -1,7 +1,7 @@
 """Shared-memory mailbox channels between sandboxes.
 
 A channel is a pair of depth-1 mailboxes mapped into exactly two sandboxes;
-each mailbox holds one message described by its size and enqueue time.
+each mailbox holds one message described by its size.
 Arrival is observed by polling: a task either busy-waits (consuming budget
 until the status bit flips) or sleep-polls at an interval, paying a fixed
 cost per attempt.  Round-trip samples are recorded by the sender's workload
@@ -35,24 +35,10 @@ class ExchangeProfile:
             raise ValueError("an exchange must take time: request, service "
                              "and response all cost zero ticks")
 
-    def request_work(self) -> int:
-        return _integral(self.n_bytes * Fraction(self.delta_s), "N*delta_s")
-
-    def response_work(self) -> int:
-        return _integral(self.m_bytes * Fraction(self.delta_d), "M*delta_d")
-
-
-def _integral(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise ValueError(f"{what} must be a whole number of ticks, got {x}")
-    return int(x)
-
 
 @dataclass
 class Message:
     nbytes: int
-    enqueue_true: int
-    sender: str
 
 
 @dataclass
@@ -65,8 +51,6 @@ class Mailbox:
 class Channel:
     sim: object
     id: str
-    sandbox_a: str
-    sandbox_b: str
     profile: ExchangeProfile
     task_a: object = None
     task_b: object = None
@@ -112,8 +96,10 @@ class Channel:
         cost = self._send_costs.get(key)
         if cost is None:
             delta = self.profile.delta_s if side == "a" else self.profile.delta_d
-            cost = _integral(nbytes * Fraction(delta), "message cost")
-            self._send_costs[key] = cost
+            cost = nbytes * Fraction(delta)
+            if cost.denominator != 1:
+                raise ValueError(f"message cost must be a whole number of ticks, got {cost}")
+            cost = self._send_costs[key] = int(cost)
         return cost
 
     def finish_send(self, task, now: int, nbytes: int = 0):
@@ -121,7 +107,7 @@ class Channel:
         polling on CPU right now, hand the message over immediately."""
         box = self._outbox(task)
         box.status_full = True
-        box.message = Message(nbytes, now, task.id)
+        box.message = Message(nbytes)
         self.sim.trace.add(now, task.sandbox.id, "msg_send", task.id, self._trace_detail)
         peer = self._peer(task)
         if peer is None:
@@ -161,26 +147,23 @@ def establish_channel(sim, sandbox_a: str, sandbox_b: str,
     key = (sandbox_a, sandbox_b) if sandbox_a < sandbox_b else (sandbox_b, sandbox_a)
     if key in sim.channels:
         return sim.channels[key]
-    ch = Channel(sim, f"{sandbox_a}-{sandbox_b}", sandbox_a, sandbox_b,
-                 profile or ExchangeProfile())
+    ch = Channel(sim, f"{sandbox_a}-{sandbox_b}", profile or ExchangeProfile())
     sim.channels[key] = ch
     sim.sandbox(sandbox_a).charge_running(sim.cost.vmexit_cost + sim.cost.vmentry_cost)
     return ch
 
 
-def run_pingpong(sim, channel: Channel, exchanges: int,
-                 limit: int | None = None) -> list[int]:
+def run_pingpong(sim, channel: Channel, exchanges: int, limit: int) -> list[int]:
     """Drive the simulation until the sender has recorded ``exchanges``
     round-trip samples (the run ends at the event that records the last
     one) or until ``limit``; returns the samples in ticks."""
     sender = channel.task_a
-    hard_limit = limit if limit is not None else sim.now + 3_600_000_000
 
     def done() -> bool:
         return len(sender.rtt_samples) >= exchanges
 
-    if not done() and sim.now < hard_limit:
-        sim.run_until(hard_limit, stop=done)
+    if not done() and sim.now < limit:
+        sim.run_until(limit, stop=done)
     return [rtt for (_, _, rtt) in sender.rtt_samples[:exchanges]]
 
 

@@ -51,7 +51,6 @@ class AddressSpace:
 
 @dataclass
 class MigrationJob:
-    id: int
     source: str
     destination: str
     space_id: str
@@ -66,11 +65,9 @@ class MigrationJob:
     delta_s_worst: int = 0
     delta_s_actual: int = 0           # copy work performed (cached costs)
     criterion_ok: bool | None = None
-    bound: object = None
     chunks: list = field(default_factory=list)
     cursor: int = 0
     needs_resume_overhead: bool = True
-    overhead_charged: int = 0
     delta_adj: int = 0
     admission: object = None
     completed_at: int | None = None
@@ -100,8 +97,6 @@ class MigrationEngine:
         self.sim = sim
         self.threads: dict[str, tuple] = {}   # sandbox -> (vcpu, task)
         self.jobs: dict[str, MigrationJob] = {}  # in-flight, by destination
-        self._next_job = 1
-        sim.migration_engine = self
 
     # -- setup ----------------------------------------------------------------
 
@@ -124,14 +119,12 @@ class MigrationEngine:
 
     # -- cost estimation --------------------------------------------------------
 
-    def estimate_delta_s(self, space: AddressSpace, cached: bool = False,
-                         pde_extra_delay: int = 0) -> int:
-        """Copy cost of an address space: pages, thread records, and the full
-        page-directory walk.  The worst case uses the cache-disabled per-page
-        cost established at boot."""
+    def estimate_delta_s(self, space: AddressSpace, pde_extra_delay: int = 0) -> int:
+        """Worst-case copy cost of an address space: pages at the
+        cache-disabled per-page cost established at boot, thread records, and
+        the full page-directory walk."""
         c = self.sim.cost
-        page = c.page_copy_cache if cached else c.page_copy_nocache
-        return (space.total_pages * page
+        return (space.total_pages * c.page_copy_nocache
                 + len(space.task_controls) * c.tss_copy_cost
                 + space.pde_count * (c.pde_walk_cost + pde_extra_delay))
 
@@ -174,19 +167,17 @@ class MigrationEngine:
         pending = vcpu.pending_event_locals()
         e_s = min(pending) - src.now_local() if pending else None
 
-        job = MigrationJob(self._next_job, source, destination, space_id, vcpu,
-                           mode, pde_extra_delay, self)
+        job = MigrationJob(source, destination, space_id, vcpu, mode,
+                           pde_extra_delay, self)
         job.e_s = e_s
-        self._next_job += 1
         if _retry_of is not None:
             job.retries = _retry_of.retries + 1
-        job.delta_s_worst = self.estimate_delta_s(space, cached=False,
-                                                  pde_extra_delay=pde_extra_delay)
+        job.delta_s_worst = self.estimate_delta_s(space, pde_extra_delay)
         job.chunks = self.chunk_plan(space, pde_extra_delay)
         if self.has_thread(destination):
             mv = self.thread_vcpu(destination)
-            job.bound = migration_bound(job.delta_s_worst, mv.capacity, mv.period)
-            job.criterion_ok = e_s is not None and e_s >= job.bound
+            bound = migration_bound(job.delta_s_worst, mv.capacity, mv.period)
+            job.criterion_ok = e_s is not None and e_s >= bound
         self.jobs[destination] = job
 
         # detach from the source scheduler; pending events are held until
@@ -259,9 +250,8 @@ class MigrationEngine:
         job.state = "copying-pde" if label.startswith("pde:") else "copying-tss"
         extra = self.sim.cost.resume_overhead if job.needs_resume_overhead else 0
         job.needs_resume_overhead = False
-        job.overhead_charged += extra
         task.vcpu.set_dispatch_floor(1)
-        return MonitorChunk(job, label, work + extra)
+        return MonitorChunk(job, work + extra)
 
     def on_chunk_done(self, task, step: MonitorChunk):
         """Preemption point: account the chunk, deliver queued IPIs, and

@@ -33,8 +33,10 @@ one task per side.  The ping-pong tasks take ``"channel"`` and
 busy) and ``"initial_sleep_us"``; the sender also takes ``"busy_wait_us"``
 (compute before each send), ``"pace_us"`` (align sends to multiples of it
 in local time) and ``"exchanges"`` (stop after that many; default never).
-Every sandbox's VCPU set must pass its own admission test at load time, and
-an unknown ``admission``, ``kind`` or ``wait`` value is a ``ValidationError``.
+Every sandbox's VCPU set must pass its own admission test at load time.  An
+unknown ``admission``, ``kind`` or ``wait`` value, an unknown ``cost_model``
+key or a cost the ``CostModel`` refuses, and a second channel between the same
+two sandboxes are each a ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -102,6 +104,10 @@ def _validate(sc: Scenario):
         raise ValidationError("tick_ns: must be in 1..1e9")
     if "cost_model" not in raw:
         sc.warnings.append("cost_model missing: defaults applied")
+    try:
+        CostModel(**raw.get("cost_model", {}))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"cost_model: {exc}") from exc
     sandboxes = raw.get("sandboxes")
     if not sandboxes:
         raise ValidationError("sandboxes: at least one required")
@@ -148,11 +154,17 @@ def _validate(sc: Scenario):
             space = v.get("address_space")
             if space:
                 spaces[space["id"]] = sid
+    pairs = {}
     for ch in raw.get("channels", []):
         for side in ("a", "b"):
             if ch.get(side) not in ids:
                 raise ValidationError(
                     f"channel {ch.get('id')!r}: side {side} names unknown sandbox")
+        pair = frozenset((ch["a"], ch["b"]))
+        if pair in pairs:
+            raise ValidationError(f"channels {pairs[pair]!r} and {ch.get('id')!r} "
+                                  f"join the same sandbox pair")
+        pairs[pair] = ch.get("id")
     for mig in raw.get("migrations", []):
         if mig.get("space") not in spaces:
             raise ValidationError(f"migration: unknown address space "
@@ -183,7 +195,7 @@ def build(sc: Scenario) -> BuiltScenario:
 
     for sb_raw in raw["sandboxes"]:
         clock_raw = sb_raw.get("clock", {})
-        clock = SandboxClock(sb_raw["id"], clock_raw.get("offset_us", 0),
+        clock = SandboxClock(clock_raw.get("offset_us", 0),
                              clock_raw.get("drift_ppm", 0))
         sb = Sandbox(sim, sb_raw["id"], clock, sb_raw.get("admission", "ll"))
         for v_raw in sb_raw.get("vcpus", []):
@@ -289,7 +301,7 @@ class MigrationTrigger:
         self.raw = raw
         self.job = None
         self.seen_eligible = False
-        at = int(raw.get("at_s", 5) * 1_000_000)
+        at = int(raw.get("at_s", 5) * built.scenario.ticks_per_second)
         built.sim.post_event(at, "mig-trigger", raw["from"], None,
                              lambda ev: self._check())
 

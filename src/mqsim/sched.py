@@ -65,7 +65,6 @@ class MonitorChunk:
     """Non-preemptible monitor-mode work; budget is checked only at the
     preemption point when the chunk ends."""
     job: object
-    label: str
     remaining: int
 
 
@@ -134,8 +133,8 @@ class Task:
         self.rtt_samples: list[tuple[int, int, int]] = []  # (idx, start_local, rtt)
         vcpu.tasks.append(self)
 
-    def count(self, name: str, inc: int = 1):
-        self.counters[name] = self.counters.get(name, 0) + inc
+    def count(self, name: str):
+        self.counters[name] = self.counters.get(name, 0) + 1
 
     def make_ready(self):
         if not self.ready and not self.done:
@@ -338,7 +337,7 @@ class Vcpu:
             self._eligible_since = t
 
 
-def inherit_priority(io_vcpu: Vcpu, main_vcpu: Vcpu, token: str = "explicit"):
+def inherit_priority(io_vcpu: Vcpu, main_vcpu: Vcpu, token: str):
     """I/O VCPUs run completions at the priority of the Main VCPU that issued
     the request; concurrent requests inherit the highest such priority."""
     if io_vcpu.kind != "io":
@@ -351,10 +350,7 @@ def inherit_priority(io_vcpu: Vcpu, main_vcpu: Vcpu, token: str = "explicit"):
 @dataclass(frozen=True)
 class AdmissionVerdict:
     accepted: bool
-    utilization_before: Fraction
     utilization_after: Fraction
-    bound_used: float
-    mode: str
 
 
 def _liu_layland_ok(util: Fraction, n: int) -> bool:
@@ -392,25 +388,21 @@ def admit(existing: list[tuple], capacity, period, mode: str = "ll") -> Admissio
     capacity, period = Fraction(capacity), Fraction(period)
     if period <= 0 or capacity <= 0 or capacity > period:
         raise MalformedVcpu(f"candidate C={capacity} T={period}")
-    before = sum((Fraction(c) / Fraction(t) for c, t in existing), Fraction(0))
-    after = before + capacity / period
+    after = sum((Fraction(c) / Fraction(t) for c, t in existing), capacity / period)
     n = len(existing) + 1
     if mode == "ll":
         accepted = _liu_layland_ok(after, n)
-        bound = n * (2 ** (1 / n) - 1)
     elif mode == "cap":
         accepted = after <= 1
-        bound = 1.0
     elif mode == "exact":
         pairs = [(Fraction(c), Fraction(t)) for c, t in existing]
         pairs.append((capacity, period))
         scale = math.lcm(*(x.denominator for p in pairs for x in p))
         int_pairs = [(int(c * scale), int(t * scale)) for c, t in pairs]
         accepted = after <= 1 and _rta_ok(int_pairs)
-        bound = 1.0
     else:
         raise ValueError(f"unknown admission mode {mode!r}")
-    return AdmissionVerdict(accepted, before, after, bound, mode)
+    return AdmissionVerdict(accepted, after)
 
 
 # --- the sandbox scheduler ------------------------------------------------
@@ -430,7 +422,7 @@ class Sandbox:
                                   f"of {ADMISSION_MODES}, got {admission_mode!r}")
         self.sim = sim
         self.id = sandbox_id
-        self.clock = clock or SandboxClock(sandbox_id)
+        self.clock = clock or SandboxClock()
         self.admission_mode = admission_mode
         self.vcpus: dict[str, Vcpu] = {}
         self.tasks: dict[str, Task] = {}
@@ -499,10 +491,10 @@ class Sandbox:
     def now_local(self) -> int:
         return self.clock.to_local(self.sim.now)
 
-    def admit(self, capacity, period, mode: str | None = None) -> AdmissionVerdict:
+    def admit(self, capacity, period) -> AdmissionVerdict:
         existing = [(v.capacity, v.period) for v in self.vcpus.values()
                     if v.kind == "main" and not v.migrating]
-        return admit(existing, capacity, period, mode or self.admission_mode)
+        return admit(existing, capacity, period, self.admission_mode)
 
     # -- public scheduling ops ----------------------------------------------
 

@@ -69,6 +69,3 @@ class SimTrace:
         for i in range(0, len(rows), HASH_BLOCK_ROWS):
             h.update(_lines(rows[i:i + HASH_BLOCK_ROWS]).encode())
         return int.from_bytes(h.digest(), "big")
-
-    def __len__(self):
-        return len(self.rows)

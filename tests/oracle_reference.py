@@ -109,11 +109,10 @@ def comm_breakdown_reference(inp) -> CommBoundBreakdown:
 
 def ticks_reference(inp, *extra):
     """The common tick from the fields: the lcm of the denominators of C_s,
-    T_s, C_d, T_d, the request work N * delta_s, the response work
-    M * delta_d + K and each extra, all taken as ``Fraction``, and each of
-    those values in that tick."""
+    T_s, C_d, T_d, the request work, the response work and each extra, all
+    taken as ``Fraction``, and each of those values in that tick."""
     vals = [Fraction(v) for v in (
-        inp.c_s, inp.t_s, inp.c_d, inp.t_d, inp.n_bytes * inp.delta_s,
-        inp.m_bytes * inp.delta_d + inp.k, *extra)]
+        inp.c_s, inp.t_s, inp.c_d, inp.t_d, inp.request_work,
+        inp.response_work, *extra)]
     scale = math.lcm(*(v.denominator for v in vals))
     return scale, [v.numerator * (scale // v.denominator) for v in vals]

@@ -70,7 +70,7 @@ class TestClockAdjustment:
 
 class TestCommBreakdown:
     def test_worked_example_every_symbol(self):
-        bd = comm_breakdown(CommBoundInput.from_work(2, 10, 3, 15, 5, 4))
+        bd = comm_breakdown(CommBoundInput(2, 10, 3, 15, 5, 4))
         assert (bd.l_s, bd.l_d) == (1, 2)
         assert (bd.s, bd.d) == (29, 28)
         assert bd.r_floor == 2
@@ -78,16 +78,8 @@ class TestCommBreakdown:
         assert (bd.n1, bd.n2, bd.e) == (1, 0, 1)
         assert (bd.w, bd.w_shifted) == (48, 49)
 
-    def test_byte_and_work_forms_agree(self):
-        by_work = comm_breakdown(CommBoundInput.from_work(2, 10, 3, 15, 5, 4))
-        by_bytes = comm_breakdown(CommBoundInput(
-            c_s=2, t_s=10, c_d=3, t_d=15, n_bytes=2048, m_bytes=2048,
-            delta_s=Fraction(5, 2048), delta_d=Fraction(4, 2048)))
-        assert by_work.w == by_bytes.w == 48
-        assert by_work.w_shifted == by_bytes.w_shifted == 49
-
     def test_leftover_budget_regime(self):
-        bd = comm_breakdown(CommBoundInput.from_work(20, 100, 2, 10, 1, 1))
+        bd = comm_breakdown(CommBoundInput(20, 100, 2, 10, 1, 1))
         assert bd.l_s == 19
         assert bd.d == 9
         assert bd.case_id == 1
@@ -96,48 +88,52 @@ class TestCommBreakdown:
     def test_exact_multiple_convention(self):
         # pins the paper variant's convention; rtt_bound corrects it (see
         # TestRttBound.test_request_of_one_whole_budget)
-        bd = comm_breakdown(CommBoundInput.from_work(5, 20, 3, 15, 5, 1))
+        bd = comm_breakdown(CommBoundInput(5, 20, 3, 15, 5, 1))
         assert bd.l_s == 5          # (n mod C_s) == 0 leaves a "full" leftover
         assert bd.s == 15           # T_s - C_s
 
     def test_shift_never_negative(self):
-        bd = comm_breakdown(CommBoundInput.from_work(7, 19, 4, 11, 3, 2))
+        bd = comm_breakdown(CommBoundInput(7, 19, 4, 11, 3, 2))
         assert bd.e >= 0
         assert bd.w_shifted >= bd.w
 
     def test_division_guard_always_runnable_sender(self):
         # T_s == C_s: the in-window test degenerates to a sign test on Q
-        bd = comm_breakdown(CommBoundInput.from_work(5, 5, 7, 7, 5, 3))
+        bd = comm_breakdown(CommBoundInput(5, 5, 7, 7, 5, 3))
         assert bd.w_shifted >= bd.w
 
     def test_division_guard_zero_partial_budget(self):
         # Q == 0, so P = Q - (T_s - C_s) is negative: case 4 with no shift.
         # P == 0 itself is TestIntegerChain's ``zero-p-positive-n2``.
-        bd = comm_breakdown(CommBoundInput.from_work(10, 20, 10, 30, 5, 5))
+        bd = comm_breakdown(CommBoundInput(10, 20, 10, 30, 5, 5))
         assert (bd.p, bd.q, bd.n2) == (-10, 0, 0)
         assert bd.w == bd.w_shifted == 30
         assert bd.case_id == 4
 
-    def test_zero_request_raises_unless_opted_in(self):
+    def test_zero_request_raises(self):
         with pytest.raises(DegenerateInput):
-            CommBoundInput.from_work(2, 10, 3, 15, 0, 4)
-        inp = CommBoundInput.from_work(2, 10, 3, 15, 0, 4, allow_zero_request=True)
-        comm_breakdown(inp)
+            CommBoundInput(2, 10, 3, 15, 0, 4)
+
+    def test_negative_work_raises(self):
+        with pytest.raises(ValueError):
+            CommBoundInput(2, 10, 3, 15, -1, 4)
+        with pytest.raises(ValueError):
+            CommBoundInput(2, 10, 3, 15, 5, Fraction(-1, 3))
 
     def test_invalid_vcpu_parameters(self):
         with pytest.raises(ValueError):
-            CommBoundInput.from_work(11, 10, 3, 15, 5, 4)
+            CommBoundInput(11, 10, 3, 15, 5, 4)
         with pytest.raises(ValueError):
-            CommBoundInput.from_work(2, 10, 0, 15, 5, 4)
+            CommBoundInput(2, 10, 0, 15, 5, 4)
 
     def test_json_view_round_trips_ints(self):
-        bd = comm_breakdown(CommBoundInput.from_work(2, 10, 3, 15, 5, 4))
+        bd = comm_breakdown(CommBoundInput(2, 10, 3, 15, 5, 4))
         d = bd.as_dict()
         assert d["W"] == 48 and d["W_shifted"] == 49
         assert d["inputs"]["request_work"] == 5
 
     def test_w_and_w_shifted_fields(self):
-        bd = comm_breakdown(CommBoundInput.from_work(2, 10, 3, 15, 5, 4))
+        bd = comm_breakdown(CommBoundInput(2, 10, 3, 15, 5, 4))
         assert bd.w == 48
         assert bd.w_shifted == 49
 
@@ -151,7 +147,7 @@ def _rational_input(rng):
     t_d = c_d + Fraction(rng.randint(0, 40), q[3])
     n = Fraction(rng.randint(1, 60), q[4])
     m = Fraction(rng.randint(0, 60), q[5])
-    return CommBoundInput.from_work(c_s, t_s, c_d, t_d, n, m)
+    return CommBoundInput(c_s, t_s, c_d, t_d, n, m)
 
 
 def assert_same_breakdown(inp):
@@ -174,7 +170,7 @@ class TestIntegerChain:
         count = 0
         for (c_s, t_s), (c_d, t_d), n, m in itertools.product(
                 vcpus, vcpus, r, range(0, 7)):
-            assert_same_breakdown(CommBoundInput.from_work(c_s, t_s, c_d, t_d, n, m))
+            assert_same_breakdown(CommBoundInput(c_s, t_s, c_d, t_d, n, m))
             count += 1
         assert count == 18522
 
@@ -213,14 +209,13 @@ class TestIntegerChain:
                      and bd.r == Fraction(27, 10), id="worked-example-halved"),
     ])
     def test_named_edge_cases(self, args, holds):
-        inp = CommBoundInput.from_work(*args)
+        inp = CommBoundInput(*args)
         assert holds(comm_breakdown(inp))
         assert_same_breakdown(inp)
 
     def test_byte_form_on_its_fine_tick(self):
-        assert_same_breakdown(CommBoundInput(
-            c_s=2, t_s=10, c_d=3, t_d=15, n_bytes=2048, m_bytes=2048,
-            delta_s=Fraction(5, 2048), delta_d=Fraction(4, 2048), k=Fraction(1, 3)))
+        # 2048 bytes at 5/2048 and at 4/2048 ticks per byte, plus K = 1/3
+        assert_same_breakdown(CommBoundInput(2, 10, 3, 15, 5, 4 + Fraction(1, 3)))
 
 
 def assert_same_ticks(inp, *extra):
@@ -238,7 +233,7 @@ class TestTicks:
         vcpus = [(c, t) for c in r for t in r if c <= t]
         for (c_s, t_s), (c_d, t_d), n, m in itertools.product(
                 vcpus, vcpus, r, range(0, 7)):
-            inp = CommBoundInput.from_work(c_s, t_s, c_d, t_d, n, m)
+            inp = CommBoundInput(c_s, t_s, c_d, t_d, n, m)
             assert_same_ticks(inp)
             assert_same_ticks(inp, c_s - 1)
 
@@ -250,32 +245,27 @@ class TestTicks:
             assert_same_ticks(inp, inp.c_s * Fraction(rng.randint(0, 5), 6))
 
     def test_byte_form(self):
-        """The per-byte costs enter only through the works: 2048 bytes at
-        1/8 tick per byte is 256 ticks, on a whole tick."""
+        """A message enters only through its work: 2048 bytes at 1/8 tick
+        per byte is 256 ticks, on a whole tick."""
         for c_s, t_s in ((2, 10), (Fraction(3, 2), 5), (7, Fraction(29, 3))):
-            inp = CommBoundInput(c_s=c_s, t_s=t_s, c_d=3, t_d=15, n_bytes=2048,
-                                 m_bytes=2048, delta_s=Fraction(1, 8),
-                                 delta_d=Fraction(1, 8))
+            inp = CommBoundInput(c_s, t_s, 3, 15, 256, 256)
             assert_same_ticks(inp)
             assert_same_ticks(inp, Fraction(1, 2))
         assert inp.ticks()[0] == 3 and inp.request_work == 256
-        whole = CommBoundInput(c_s=2, t_s=10, c_d=3, t_d=15, n_bytes=2048,
-                               m_bytes=2048, delta_s=Fraction(1, 8),
-                               delta_d=Fraction(1, 8))
+        whole = CommBoundInput(2, 10, 3, 15, 256, 256)
         assert whole.ticks() == (1, [2, 10, 3, 15, 256, 256])
         assert whole.ticks(Fraction(1, 2)) == (2, [4, 20, 6, 30, 512, 512, 1])
-        served = CommBoundInput(c_s=2, t_s=10, c_d=3, t_d=15, n_bytes=2048,
-                                m_bytes=1000, delta_s=Fraction(1, 8),
-                                delta_d=Fraction(1, 8), k=Fraction(1, 3))
+        # 1000 bytes at 1/8 plus a service time of 1/3
+        served = CommBoundInput(2, 10, 3, 15, 256, 125 + Fraction(1, 3))
         assert_same_ticks(served)
         assert_same_ticks(served, Fraction(1, 2))
         assert served.ticks() == (3, [6, 30, 9, 45, 768, 376])
 
     def test_rational_extras(self):
         rng = random.Random(31)
-        inputs = [CommBoundInput.from_work(2, 10, 3, 15, 5, 4),
-                  CommBoundInput.from_work(1, 5, Fraction(3, 2), Fraction(15, 2),
-                                           Fraction(5, 2), 2)]
+        inputs = [CommBoundInput(2, 10, 3, 15, 5, 4),
+                  CommBoundInput(1, 5, Fraction(3, 2), Fraction(15, 2),
+                                 Fraction(5, 2), 2)]
         for inp in inputs:
             for _ in range(200):
                 extra = [Fraction(rng.randint(-20, 20), rng.randint(1, 12))
@@ -284,7 +274,7 @@ class TestTicks:
             assert_same_ticks(inp, 3, Fraction(7, 4), 0)
 
     def test_repeated_calls_do_not_share_the_list(self):
-        inp = CommBoundInput.from_work(2, 10, 3, 15, 5, 4)
+        inp = CommBoundInput(2, 10, 3, 15, 5, 4)
         inp.ticks()[1][0] = 99
         assert inp.ticks() == (1, [2, 10, 3, 15, 5, 4])
 
@@ -293,18 +283,15 @@ class TestTypes:
     """Every rational value the bound engine hands out is a ``Fraction``,
     on integer inputs as on rational ones."""
 
-    INPUT_FIELDS = ("c_s", "t_s", "c_d", "t_d", "delta_s", "delta_d", "k",
-                    "request_work", "response_work")
+    INPUT_FIELDS = ("c_s", "t_s", "c_d", "t_d", "request_work", "response_work")
 
     @pytest.mark.parametrize("inp", [
-        CommBoundInput.from_work(2, 10, 3, 15, 5, 4),
-        CommBoundInput.from_work(20, 100, 20, 100, 5, 0),
-        CommBoundInput.from_work(1, 5, Fraction(3, 2), Fraction(15, 2),
-                                 Fraction(5, 2), 2),
-        CommBoundInput(c_s=2, t_s=10, c_d=3, t_d=15, n_bytes=2048, m_bytes=2048,
-                       delta_s=Fraction(1, 8), delta_d=Fraction(1, 8)),
-        CommBoundInput(c_s=2.5, t_s=10, c_d=3, t_d=15, n_bytes=3, m_bytes=0,
-                       delta_s=Fraction(1, 3), delta_d=2, k=Fraction(1, 2)),
+        CommBoundInput(2, 10, 3, 15, 5, 4),
+        CommBoundInput(20, 100, 20, 100, 5, 0),
+        CommBoundInput(1, 5, Fraction(3, 2), Fraction(15, 2),
+                       Fraction(5, 2), 2),
+        CommBoundInput(2, 10, 3, 15, 256, 256),
+        CommBoundInput(2.5, 10, 3, 15, 1, Fraction(1, 2)),
     ], ids=["integer", "zero-response", "rational", "byte-form", "mixed"])
     def test_everything_is_a_fraction(self, inp):
         def not_fractions(obj, names):
@@ -326,7 +313,7 @@ class TestTypes:
 
 class TestRttBound:
     def test_worked_example(self):
-        inp = CommBoundInput.from_work(2, 10, 3, 15, 5, 4)
+        inp = CommBoundInput(2, 10, 3, 15, 5, 4)
         bound = rtt_bound(inp)
         assert bound.tick == 1
         assert bound.completion == 49     # the oracle's maximum
@@ -335,17 +322,17 @@ class TestRttBound:
         assert (at.sigma, at.request, at.response, at.observation) == (0, 21, 28, 1)
 
     def test_whole_budget_response_is_not_short(self):
-        inp = CommBoundInput.from_work(20, 100, 20, 100, 5, 20)
+        inp = CommBoundInput(20, 100, 20, 100, 5, 20)
         assert comm_breakdown(inp).d == 80            # paper: L_d = C_d
         assert rtt_bound(inp).worst_completion.response == 100
 
     def test_zero_response(self):
-        inp = CommBoundInput.from_work(20, 100, 20, 100, 5, 0)
+        inp = CommBoundInput(20, 100, 20, 100, 5, 0)
         assert comm_breakdown(inp).d == -20           # paper: D = -C_d
         assert rtt_bound(inp).worst_completion.response == 0
 
     def test_request_of_one_whole_budget(self):
-        inp = CommBoundInput.from_work(5, 20, 3, 15, 5, 1)
+        inp = CommBoundInput(5, 20, 3, 15, 5, 1)
         assert comm_breakdown(inp).s == 15            # paper: L_s = C_s
         assert rtt_segments(inp, 0).request == 5      # fits the full budget
         # from any later offset the last ticks wait out one gap: 5 + 15
@@ -353,13 +340,13 @@ class TestRttBound:
         assert rtt_bound(inp).worst_completion.request == 20
 
     def test_segments_sum_to_totals(self):
-        seg = rtt_segments(CommBoundInput.from_work(
+        seg = rtt_segments(CommBoundInput(
             20_000, 100_000, 20_000, 100_000, 5_000, 5_000), 15_001)
         assert (seg.request, seg.response, seg.observation) == (85000, 85000, 14999)
         assert (seg.completion, seg.observed) == (170000, 184999)
 
     def test_offset_outside_budget_rejected(self):
-        inp = CommBoundInput.from_work(2, 10, 3, 15, 5, 4)
+        inp = CommBoundInput(2, 10, 3, 15, 5, 4)
         with pytest.raises(ValueError):
             rtt_segments(inp, 2)
 
@@ -370,7 +357,7 @@ class TestRttBound:
         assert observation_delay(5, 5, 7) == 0             # no gap at all
 
     def test_rational_inputs_scale_exactly(self):
-        halved = rtt_bound(CommBoundInput.from_work(
+        halved = rtt_bound(CommBoundInput(
             1, 5, Fraction(3, 2), Fraction(15, 2), Fraction(5, 2), 2))
         assert halved.tick == Fraction(1, 2)
         assert halved.completion == Fraction(49, 2)

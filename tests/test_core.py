@@ -59,7 +59,7 @@ def test_empty_run_advances_clock():
     sim = Simulator()
     trace = sim.run_until(1_000_000)
     assert sim.now == 1_000_000
-    assert len(trace) == 0
+    assert len(trace.rows) == 0
 
 
 def test_events_added_during_dispatch_run_in_order():
@@ -113,24 +113,24 @@ class TestStopPredicate:
 
 class TestClock:
     def test_identity(self):
-        c = SandboxClock("s")
+        c = SandboxClock()
         assert c.to_local(1000) == 1000
 
     def test_offset(self):
-        c = SandboxClock("s", offset=480)
+        c = SandboxClock(offset=480)
         assert c.to_local(1000) == 1480
 
     def test_drift_formula(self):
-        c = SandboxClock("s", drift_ppm=1000)
+        c = SandboxClock(drift_ppm=1000)
         assert c.to_local(1_000_000) == 1_001_000
 
     def test_round_trip_no_drift(self):
-        c = SandboxClock("s", offset=-123)
+        c = SandboxClock(offset=-123)
         for x in (-50, 0, 7, 10**9):
             assert c.to_local(c.to_true(x)) == x
 
     def test_inverse_with_drift_is_earliest(self):
-        c = SandboxClock("s", offset=7, drift_ppm=333)
+        c = SandboxClock(offset=7, drift_ppm=333)
         for x in (0, 1, 999, 12_345_678):
             t = c.to_true(x)
             assert c.to_local(t) >= x
@@ -138,13 +138,13 @@ class TestClock:
 
     def test_drift_floor_rejected(self):
         with pytest.raises(ValueError):
-            SandboxClock("s", drift_ppm=-1_000_000)
+            SandboxClock(drift_ppm=-1_000_000)
 
 
 class TestTsc:
     def test_read_values(self):
         sim = Simulator()
-        Sandbox(sim, "a", clock=SandboxClock("a", offset=480))
+        Sandbox(sim, "a", clock=SandboxClock(offset=480))
         sim.run_until(1000)
         assert sim.read_tsc("a") == 1480
         with pytest.raises(UnknownSandbox):
@@ -286,7 +286,7 @@ class TestTrace:
         trace = SimTrace(keep_rows=False)
         trace.add(5, "a", "wakeup", "t", "x=1")
         trace.add(6, "a", "deplete")
-        assert trace.rows == [] and len(trace) == 0
+        assert trace.rows == []
         with pytest.raises(RowsNotKept):
             trace.hash()
         with pytest.raises(RowsNotKept):

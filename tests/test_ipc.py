@@ -12,6 +12,8 @@ from mqsim.ipc import ExchangeProfile, establish_channel, run_pingpong
 from mqsim.sched import Sandbox
 from mqsim.workloads import pingpong_receiver, pingpong_sender
 
+LIMIT = 3_600_000_000  # one simulated hour, far past every exchange here
+
 
 def pair(profile=None, n_work=5, m_work=4, cs=2, ts=10, cd=3, td=15,
          sender_kwargs=None, receiver_kwargs=None, idle=False):
@@ -56,12 +58,6 @@ class TestEstablish:
                                         start_ready=False)
         with pytest.raises(AccessDenied):
             ch.take(intruder)
-
-    def test_fractional_message_cost_rejected(self):
-        prof = ExchangeProfile(n_bytes=3, m_bytes=3, delta_s=Fraction(1, 2),
-                               delta_d=Fraction(1, 2))
-        with pytest.raises(ValueError):
-            prof.request_work()
 
     def test_free_exchange_rejected(self):
         with pytest.raises(ValueError):
@@ -124,22 +120,22 @@ class TestExchangeTiming:
 
     def test_uncontended_rtt_is_pure_work(self):
         sim, ch, snd, rcv = pair(cs=10, ts=10, cd=10, td=10, n_work=3, m_work=2)
-        rtts = run_pingpong(sim, ch, 5)
+        rtts = run_pingpong(sim, ch, 5, LIMIT)
         assert rtts == [5, 5, 5, 5, 5]
 
     def test_service_time_charged_before_reply(self):
         prof = ExchangeProfile(n_bytes=3, m_bytes=2, delta_s=1, delta_d=1, k=4)
         sim, ch, snd, rcv = pair(profile=prof, cs=10, ts=10, cd=10, td=10)
-        rtts = run_pingpong(sim, ch, 3)
+        rtts = run_pingpong(sim, ch, 3, LIMIT)
         assert rtts == [9, 9, 9]  # 3 send + 4 service + 2 reply
 
     def test_zero_exchanges_empty(self):
         sim, ch, snd, rcv = pair()
-        assert run_pingpong(sim, ch, 0) == []
+        assert run_pingpong(sim, ch, 0, LIMIT) == []
 
     def test_message_conservation(self):
         sim, ch, snd, rcv = pair()
-        run_pingpong(sim, ch, 25)
+        run_pingpong(sim, ch, 25, LIMIT)
         sent = len([r for r in sim.trace.rows if r.kind == "msg_send"
                     and r.entity == "snd"])
         received = len([r for r in sim.trace.rows if r.kind == "msg_recv"
@@ -158,7 +154,7 @@ class TestExchangeTiming:
                                  cd=2_000, td=10_000,
                                  sender_kwargs={"busy_wait": 16_000},
                                  receiver_kwargs={"initial_sleep": 9_000})
-        rtts = run_pingpong(sim, ch, 3)
+        rtts = run_pingpong(sim, ch, 3, LIMIT)
         assert max(rtts) == 94_000
 
     def test_samples_equal_fixed_step_run(self):
@@ -176,7 +172,7 @@ class TestExchangeTiming:
                         receiver_kwargs={"initial_sleep": 120_000})
 
         sim, ch, snd, rcv = point()
-        rtts = run_pingpong(sim, ch, 12)
+        rtts = run_pingpong(sim, ch, 12, LIMIT)
         stepped_sim, _, stepped, _ = point()
         while len(stepped.rtt_samples) < 12:
             stepped_sim.run_until(stepped_sim.now + 1_000_000)

@@ -15,16 +15,15 @@ from oracle_reference import _send_end, worst_2d
 
 
 def test_worked_example_bracket():
-    inp = CommBoundInput.from_work(2, 10, 3, 15, 5, 4)
+    inp = CommBoundInput(2, 10, 3, 15, 5, 4)
     got = brute_force_worst_rtt(inp)
     assert 48 <= got <= 49
 
 
 def test_always_runnable_is_pure_work():
-    inp = CommBoundInput.from_work(5, 5, 7, 7, 5, 3)
+    inp = CommBoundInput(5, 5, 7, 7, 5, 3)
     assert brute_force_worst_rtt(inp) == 8
-    with_k = CommBoundInput(c_s=5, t_s=5, c_d=7, t_d=7, n_bytes=5, m_bytes=3,
-                            delta_s=1, delta_d=1, k=2)
+    with_k = CommBoundInput(5, 5, 7, 7, 5, 3 + 2)  # service time K = 2
     assert brute_force_worst_rtt(with_k) == 10
 
 
@@ -43,7 +42,7 @@ def test_separable_sweep_equals_2d_reference():
         args = (c_s, t_s, c_d, t_d, n, m)
         assert _worst(*args)[0] == worst_2d(*args)[0], args
         _, sigma, te, tr = worst_2d(*args)
-        point = worst_point(CommBoundInput.from_work(c_s, t_s, c_d, t_d, n, m))
+        point = worst_point(CommBoundInput(c_s, t_s, c_d, t_d, n, m))
         assert (point["request"], point["response"]) == (te - sigma, tr - te)
         requests = [_send_end(c_s, t_s, n, s) - s for s in range(c_s)]
         assert point["sigma"] == requests.index(max(requests))
@@ -66,13 +65,13 @@ def test_rational_inputs_rescale_exactly():
     # fractional inputs are swept on their common tick (half a unit here),
     # so the half-tick alignments are covered: the worked example halved
     # gives half its maximum, which is the sound bound's completion
-    halved = CommBoundInput.from_work(1, 5, Fraction(3, 2), Fraction(15, 2),
-                                      Fraction(5, 2), 2)
+    halved = CommBoundInput(1, 5, Fraction(3, 2), Fraction(15, 2),
+                            Fraction(5, 2), 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert brute_force_worst_rtt(halved) == Fraction(49, 2)
     assert rtt_bound(halved).completion == Fraction(49, 2)
-    assert brute_force_worst_rtt(CommBoundInput.from_work(2, 10, 3, 15, 5, 4)) == 49
+    assert brute_force_worst_rtt(CommBoundInput(2, 10, 3, 15, 5, 4)) == 49
 
 
 def test_rational_inputs_equal_the_sound_completion():
@@ -87,12 +86,12 @@ def test_rational_inputs_equal_the_sound_completion():
         t_d = c_d + Fraction(rng.randint(0, 24), q[3])
         n = Fraction(rng.randint(1, 16), q[4])
         m = Fraction(rng.randint(0, 16), q[5])
-        inp = CommBoundInput.from_work(c_s, t_s, c_d, t_d, n, m)
+        inp = CommBoundInput(c_s, t_s, c_d, t_d, n, m)
         assert brute_force_worst_rtt(inp) == rtt_bound(inp).completion, inp
 
 
 def test_resolution_validation():
-    inp = CommBoundInput.from_work(2, 10, 3, 15, 5, 4)
+    inp = CommBoundInput(2, 10, 3, 15, 5, 4)
     for resolution in (0, 2, 7):
         with pytest.raises(ValueError):
             brute_force_worst_rtt(inp, resolution=resolution)
@@ -103,13 +102,13 @@ def test_known_unsound_regimes_are_detected():
     the paper variant's scenario analysis does not cover (multi-window
     responses with a long receiver period) it finds exchanges above that
     variant's W' (``comm_breakdown``)."""
-    inp = CommBoundInput.from_work(20, 100, 2, 10, 5, 5)
+    inp = CommBoundInput(20, 100, 2, 10, 5, 5)
     bd = comm_breakdown(inp)
     assert brute_force_worst_rtt(inp) > bd.w_shifted
 
 
 def test_worst_point_splits_the_maximum():
-    inp = CommBoundInput.from_work(20, 100, 2, 10, 5, 5)
+    inp = CommBoundInput(20, 100, 2, 10, 5, 5)
     point = worst_point(inp)
     assert point["request"] + point["response"] == brute_force_worst_rtt(inp)
     sound = rtt_bound(inp).worst_completion

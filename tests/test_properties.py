@@ -18,14 +18,14 @@ from oracle_reference import _resp_end, _send_end, worst_2d
 
 @given(offset=st.integers(-10**6, 10**6), t=st.integers(0, 10**9))
 def test_clock_roundtrip_without_drift(offset, t):
-    c = SandboxClock("s", offset=offset)
+    c = SandboxClock(offset=offset)
     assert c.to_true(c.to_local(t)) == t
 
 
 @given(offset=st.integers(-1000, 1000), drift=st.integers(-500_000, 500_000),
        x=st.integers(0, 10**8))
 def test_clock_inverse_is_earliest_with_drift(offset, drift, x):
-    c = SandboxClock("s", offset=offset, drift_ppm=drift)
+    c = SandboxClock(offset=offset, drift_ppm=drift)
     t = c.to_true(x)
     assert c.to_local(t) >= x
     assert c.to_local(t - 1) < x
@@ -34,7 +34,7 @@ def test_clock_inverse_is_earliest_with_drift(offset, drift, x):
 @given(offset=st.integers(-1000, 1000), drift=st.integers(-500_000, 500_000),
        a=st.integers(0, 10**6), b=st.integers(0, 10**6))
 def test_clock_monotone(offset, drift, a, b):
-    c = SandboxClock("s", offset=offset, drift_ppm=drift)
+    c = SandboxClock(offset=offset, drift_ppm=drift)
     if a <= b:
         assert c.to_local(a) <= c.to_local(b)
 
@@ -50,7 +50,7 @@ def covered_regime_inputs(draw):
     c_d = draw(st.integers(2, 40))
     t_d = draw(st.integers(c_d, 80))
     m = draw(st.integers(1, c_d - 1))
-    return CommBoundInput.from_work(c_s, t_s, c_d, t_d, n, m)
+    return CommBoundInput(c_s, t_s, c_d, t_d, n, m)
 
 
 @settings(max_examples=300, deadline=None)
@@ -72,15 +72,15 @@ def any_inputs(draw):
     t_d = draw(st.integers(c_d, 60))
     n = draw(st.integers(1, 70))
     m = draw(st.integers(0, 70))
-    return CommBoundInput.from_work(c_s, t_s, c_d, t_d, n, m)
+    return CommBoundInput(c_s, t_s, c_d, t_d, n, m)
 
 
 # one input per case_id of the paper variant, 1 to 5 in order
-@example(inp=CommBoundInput.from_work(4, 5, 6, 7, 6, 6))
-@example(inp=CommBoundInput.from_work(2, 8, 3, 7, 1, 2))
-@example(inp=CommBoundInput.from_work(4, 7, 3, 4, 4, 5))
-@example(inp=CommBoundInput.from_work(2, 3, 6, 8, 4, 3))
-@example(inp=CommBoundInput.from_work(4, 4, 1, 2, 4, 7))
+@example(inp=CommBoundInput(4, 5, 6, 7, 6, 6))
+@example(inp=CommBoundInput(2, 8, 3, 7, 1, 2))
+@example(inp=CommBoundInput(4, 7, 3, 4, 4, 5))
+@example(inp=CommBoundInput(2, 3, 6, 8, 4, 3))
+@example(inp=CommBoundInput(4, 4, 1, 2, 4, 7))
 @settings(max_examples=300, deadline=None)
 @given(inp=any_inputs())
 def test_sound_bound_equals_sweep_in_every_case(inp):
@@ -98,7 +98,7 @@ def test_sound_bound_equals_sweep_exhaustively_up_to_8():
     count = 0
     for (c_s, t_s), (c_d, t_d), n, m in itertools.product(vcpus, vcpus, r,
                                                           range(0, 9)):
-        bound = rtt_bound(CommBoundInput.from_work(c_s, t_s, c_d, t_d, n, m))
+        bound = rtt_bound(CommBoundInput(c_s, t_s, c_d, t_d, n, m))
         oracle = worst_2d(c_s, t_s, c_d, t_d, n, m)[0]
         assert oracle == bound.completion, (c_s, t_s, c_d, t_d, n, m)
         count += 1
@@ -116,7 +116,7 @@ def test_observed_bound_equals_extended_sweep_exhaustively_up_to_6():
                     for phi in range(t_d) for sigma in range(c_s)
                     for done in [_resp_end(c_d, t_d, phi,
                                            _send_end(c_s, t_s, n, sigma), m)])
-        inp = CommBoundInput.from_work(c_s, t_s, c_d, t_d, n, m)
+        inp = CommBoundInput(c_s, t_s, c_d, t_d, n, m)
         assert rtt_bound(inp).observed == swept, (c_s, t_s, c_d, t_d, n, m)
 
 

@@ -125,6 +125,31 @@ class TestValidation:
         with pytest.raises(ValidationError, match="admission"):
             load_scenario(raw)
 
+    def test_second_channel_between_one_pair(self):
+        # establish_channel returns the first channel for the pair, so the
+        # second would rebind its endpoints at build
+        raw = table1()
+        raw["channels"].append({"id": "aux", "a": "sb2", "b": "sb1"})
+        with pytest.raises(ValidationError, match="'main' and 'aux'"):
+            load_scenario(raw)
+
+    @pytest.mark.parametrize("key", ["ipi_costt", "poll_cost"])
+    def test_unknown_cost_model_key(self, key):
+        raw = table1()
+        raw["cost_model"] = {key: 10}
+        with pytest.raises(ValidationError, match=key):
+            load_scenario(raw)
+
+    @pytest.mark.parametrize("costs", [
+        {"ipi_cost": -1},
+        {"page_copy_nocache": 1, "page_copy_cache": 2},
+    ], ids=["negative", "no-cache-cheaper"])
+    def test_cost_model_value_refused(self, costs):
+        raw = table1()
+        raw["cost_model"] = costs
+        with pytest.raises(ValidationError, match="cost_model"):
+            load_scenario(raw)
+
 
 class TestBuild:
     def test_wiring(self):
@@ -150,3 +175,14 @@ class TestBuild:
         a.sim.run_until(2_000_000)
         b.sim.run_until(2_000_000)
         assert a.sim.trace.hash() == b.sim.trace.hash()
+
+    def test_migration_time_in_scenario_ticks(self):
+        """``at_s`` counts scenario seconds, as ``run_until_s`` does: with
+        2 us ticks the request lands after 2.5M ticks (5 s), at the first
+        depletion of the migrated VCPU plus the 200-tick delay."""
+        raw = table1()
+        raw["tick_ns"] = 2000
+        built = build(load_scenario(raw))
+        built.sim.run_until(3_000_000)
+        requests = [r.t for r in built.sim.trace.rows if r.kind == "mig_request"]
+        assert requests == [2_530_200]

@@ -289,7 +289,7 @@ class TestPriorityInheritance:
         sim, sb = mini()
         main = sb.add_vcpu("m", 10, 50)
         with pytest.raises(NotIoVcpu):
-            inherit_priority(main, main)
+            inherit_priority(main, main, token="m")
 
     def test_max_inheritance(self):
         sim, sb = mini()

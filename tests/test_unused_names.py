@@ -1,7 +1,15 @@
 """Every function, method and class in ``src/mqsim`` has a caller in the
 program: a reference in ``src/`` or ``perfbench/`` other than its own
-definition, an import of it, or an entry of an ``__all__`` list.  Code that
-only tests call is a second path the simulator never runs."""
+definition, an import of it, or an entry of an ``__all__`` list.  Every
+dataclass field and every attribute stored in ``src/mqsim`` is read, as an
+attribute, somewhere in the program.  Code that only tests call, and state
+that only tests read, is a second path the simulator never runs.
+
+Both checks match by bare name, so they have blind spots: a definition or a
+field is taken as used when any other one of the same name is.
+``ExchangeProfile.request_work()`` went unflagged while it existed, because
+``CommBoundInput.request_work`` is read.  Dunder methods are skipped, and
+parameters and their defaults are not checked at all."""
 
 import ast
 from pathlib import Path
@@ -16,6 +24,10 @@ PROGRAM = (ROOT / "src", ROOT / "perfbench")
 #   in comm_breakdown folds it into its case tests, but the tests' reference
 #   chain (tests/oracle_reference.py) spells the paper's formulas out with it.
 ALLOWED = {"step_f"}
+# Stored values the program never reads, for the same reason:
+# - r is the paper's R (elapsed sender periods, unfloored), which the
+#   reference chain in tests/oracle_reference.py computes and compares.
+ALLOWED_UNREAD = {"r"}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -44,6 +56,41 @@ def definitions(tree: ast.Module) -> set[str]:
             and not (node.name.startswith("__") and node.name.endswith("__"))}
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def stored(tree: ast.Module) -> set[str]:
+    """Dataclass fields and attributes assigned as ``obj.name = ...``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            found |= {st.target.id for st in node.body
+                      if isinstance(st, ast.AnnAssign)
+                      and isinstance(st.target, ast.Name)}
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            found.add(node.attr)
+    return found
+
+
+def attribute_reads(tree: ast.Module) -> set[str]:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread() -> list[str]:
+    kept = set()
+    for path in PACKAGE.rglob("*.py"):
+        kept |= stored(_parse(path))
+    read = set()
+    for top in PROGRAM:
+        for path in top.rglob("*.py"):
+            read |= attribute_reads(_parse(path))
+    return sorted(kept - read - ALLOWED_UNREAD)
+
+
 def unreferenced() -> list[str]:
     defined = set()
     for path in PACKAGE.rglob("*.py"):
@@ -66,3 +113,18 @@ def test_guard_sees_a_name_only_its_definition_mentions():
                      "def used():\n    pass\n"
                      "x = used\n")
     assert definitions(tree) - references(tree) == {"lonely"}
+
+
+def test_every_stored_value_is_read():
+    assert unread() == []
+
+
+def test_guard_sees_a_field_only_its_writer_touches():
+    tree = ast.parse("from dataclasses import dataclass\n"
+                     "@dataclass\n"
+                     "class Job:\n    label: str\n    work: int\n"
+                     "def run(job, engine):\n"
+                     "    engine.note = job.work\n"
+                     "    engine.count += 1\n"
+                     "    return Job(label='x', work=engine.count)\n")
+    assert stored(tree) - attribute_reads(tree) == {"label", "note"}

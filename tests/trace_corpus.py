@@ -63,7 +63,7 @@ def build_setup(seed: int) -> Simulator:
     for name in ("s1", "s2"):
         offset = rng.choice((0, 0, _steps(rng, -4, 4)))
         drift = rng.choice((0, 0, rng.randint(-100, 100)))
-        sb = Sandbox(sim, name, SandboxClock(name, offset, drift))
+        sb = Sandbox(sim, name, SandboxClock(offset, drift))
         for i in range(rng.randint(0, 2)):
             sb.add_vcpu(f"{name}.io{i}", _steps(rng, 1, 3), _steps(rng, 10, 40),
                         kind="io")
