@@ -16,7 +16,7 @@ Two round-trip bounds live here, for a sender VCPU (C_s, T_s) and a receiver
 VCPU (C_d, T_d) exchanging a request and a response.  They read each message
 only as its execution work: ``N * delta_s`` ticks for an N-byte request and
 ``M * delta_d + K`` for an M-byte response with service time K.  The caller
-(or ``mqsim.ipc``, for a channel's profile) computes those works.
+computes those works, as ``mqsim.scenario`` does for a channel's byte keys.
 
 ``comm_breakdown`` is the paper variant: the published symbol chain, kept as
 transcribed.  Its symbols are

@@ -187,10 +187,8 @@ def pingpong_case_max_rtt(c_s, t_s, c_d, t_d, request_work, response_work,
     d = Sandbox(sim, "d")
     vs = s.add_vcpu("vs", c_s, t_s)
     vd = d.add_vcpu("vd", c_d, t_d)
-    prof = ExchangeProfile(n_bytes=2048, m_bytes=2048,
-                           delta_s=Fraction(request_work, 2048),
-                           delta_d=Fraction(response_work, 2048), k=0)
-    ch = establish_channel(sim, "s", "d", prof)
+    ch = establish_channel(sim, "s", "d",
+                           ExchangeProfile(request_work, response_work))
     snd = s.add_task("snd", vs, program=pingpong_sender(
         ch, busy_wait=busy_wait, exchanges=exchanges))
     rcv = d.add_task("rcv", vd, program=pingpong_receiver(

@@ -1,7 +1,8 @@
 """Shared-memory mailbox channels between sandboxes.
 
 A channel is a pair of depth-1 mailboxes mapped into exactly two sandboxes;
-each mailbox holds one message described by its size.
+each mailbox is one status bit, and a message is only its send's work in
+ticks (scenario files give bytes, which ``load_scenario`` converts).
 Arrival is observed by polling: a task either busy-waits (consuming budget
 until the status bit flips) or sleep-polls at an interval, paying a fixed
 cost per attempt.  Round-trip samples are recorded by the sender's workload
@@ -11,40 +12,26 @@ in its local clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from mqsim.errors import AccessDenied, MailboxFull, SelfChannel
+from mqsim.errors import AccessDenied, MailboxFull, SelfChannel, ValidationError
 from mqsim.sched import PollWait
 
 
 @dataclass(frozen=True)
 class ExchangeProfile:
-    """Sizes and per-byte costs of one request/response pattern."""
-    n_bytes: int = 2048
-    m_bytes: int = 2048
-    delta_s: Fraction = Fraction(1, 8)   # sender ticks per byte
-    delta_d: Fraction = Fraction(1, 8)   # receiver ticks per byte
-    k: int = 0                           # receiver service time per request
+    """Works and polling costs of one request/response pattern, in ticks."""
+    request_work: int = 256   # the sender's send: 2048 bytes at 1/8 tick each
+    response_work: int = 256  # the receiver's send
+    k: int = 0                # receiver service time per request
     poll_cost: int = 10
     poll_interval: int = 500
 
     def __post_init__(self):
         # a free exchange would let two busy-polling tasks trade messages
         # forever without simulated time passing
-        if self.n_bytes * self.delta_s + self.k + self.m_bytes * self.delta_d <= 0:
+        if self.request_work + self.k + self.response_work <= 0:
             raise ValueError("an exchange must take time: request, service "
                              "and response all cost zero ticks")
-
-
-@dataclass
-class Message:
-    nbytes: int
-
-
-@dataclass
-class Mailbox:
-    status_full: bool = False
-    message: Message | None = None
 
 
 @dataclass
@@ -54,11 +41,8 @@ class Channel:
     profile: ExchangeProfile
     task_a: object = None
     task_b: object = None
-    mbox_to_a: Mailbox = field(default_factory=Mailbox)
-    mbox_to_b: Mailbox = field(default_factory=Mailbox)
-    # integer send cost per (side, nbytes); the profile is frozen
-    _send_costs: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
+    # the status bit of the mailbox to side a (index 0) and to side b (1)
+    full: list = field(default_factory=lambda: [False, False])
     # the detail of every msg_send and msg_recv row
     _trace_detail: str = field(init=False, repr=False, compare=False)
 
@@ -67,69 +51,48 @@ class Channel:
 
     def bind(self, task_a, task_b):
         self.task_a, self.task_b = task_a, task_b
-        return self
 
-    def _side(self, task) -> str:
+    def _side(self, task) -> int:
         if task is self.task_a:
-            return "a"
+            return 0
         if task is self.task_b:
-            return "b"
+            return 1
         raise AccessDenied(f"task {task.id} is not an endpoint of channel {self.id}")
-
-    def _outbox(self, task) -> Mailbox:
-        return self.mbox_to_b if self._side(task) == "a" else self.mbox_to_a
-
-    def _inbox(self, task) -> Mailbox:
-        return self.mbox_to_a if self._side(task) == "a" else self.mbox_to_b
-
-    def _peer(self, task):
-        return self.task_b if self._side(task) == "a" else self.task_a
 
     # -- operations ---------------------------------------------------------
 
-    def send_work(self, task, nbytes: int) -> int:
-        """Execution ticks the send costs; checked at send start."""
-        if self._outbox(task).status_full:
-            raise MailboxFull(f"channel {self.id}: previous message not consumed")
+    def send_work(self, task) -> int:
+        """Execution ticks ``task``'s send costs; checked at send start."""
         side = self._side(task)
-        key = (side, nbytes)
-        cost = self._send_costs.get(key)
-        if cost is None:
-            delta = self.profile.delta_s if side == "a" else self.profile.delta_d
-            cost = nbytes * Fraction(delta)
-            if cost.denominator != 1:
-                raise ValueError(f"message cost must be a whole number of ticks, got {cost}")
-            cost = self._send_costs[key] = int(cost)
-        return cost
+        if self.full[1 - side]:
+            raise MailboxFull(f"channel {self.id}: previous message not consumed")
+        return self.profile.response_work if side else self.profile.request_work
 
-    def finish_send(self, task, now: int, nbytes: int = 0):
+    def finish_send(self, task, now: int):
         """Transmission complete: flip the status bit and, if the peer is
         polling on CPU right now, hand the message over immediately."""
-        box = self._outbox(task)
-        box.status_full = True
-        box.message = Message(nbytes)
+        side = self._side(task)
+        self.full[1 - side] = True
         self.sim.trace.add(now, task.sandbox.id, "msg_send", task.id, self._trace_detail)
-        peer = self._peer(task)
-        if peer is None:
-            return
+        peer = self.task_a if side else self.task_b
         sb = peer.sandbox
         if (isinstance(peer.step, PollWait) and peer.step.channel is self
                 and sb.running is peer.vcpu and sb.running.current_work() is peer
                 and sb.blocked_until <= now):
-            sb.end_poll(peer, self.take(peer))
+            self.take(peer)
+            sb.end_poll(peer)
 
-    def take(self, task) -> Message | None:
-        """Consume the pending message, if any (no cost: the attempt's cost
-        is charged by the caller's polling loop)."""
-        box = self._inbox(task)
-        if not box.status_full:
+    def take(self, task) -> bool | None:
+        """Consume the pending message: True, or None when the mailbox is
+        empty (no cost: the attempt's cost is charged by the caller's
+        polling loop)."""
+        side = self._side(task)
+        if not self.full[side]:
             return None
-        box.status_full = False
-        msg = box.message
-        box.message = None
+        self.full[side] = False
         self.sim.trace.add(self.sim.now, task.sandbox.id, "msg_recv", task.id,
                            self._trace_detail)
-        return msg
+        return True
 
 
 def establish_channel(sim, sandbox_a: str, sandbox_b: str,
@@ -138,16 +101,21 @@ def establish_channel(sim, sandbox_a: str, sandbox_b: str,
 
     Establishment is a monitor call: one VM-Exit/VM-Entry pair is charged to
     whatever the requesting sandbox is currently running.  Re-establishing an
-    existing pair is idempotent.
+    existing pair is idempotent; asking for it with another profile is a
+    ``ValidationError``.
     """
     if sandbox_a == sandbox_b:
         raise SelfChannel(sandbox_a)
     sim.sandbox(sandbox_a)
     sim.sandbox(sandbox_b)
     key = (sandbox_a, sandbox_b) if sandbox_a < sandbox_b else (sandbox_b, sandbox_a)
-    if key in sim.channels:
-        return sim.channels[key]
-    ch = Channel(sim, f"{sandbox_a}-{sandbox_b}", profile or ExchangeProfile())
+    profile = profile or ExchangeProfile()
+    ch = sim.channels.get(key)
+    if ch is not None:
+        if ch.profile != profile:
+            raise ValidationError(f"channel {ch.id} has another profile")
+        return ch
+    ch = Channel(sim, f"{sandbox_a}-{sandbox_b}", profile)
     sim.channels[key] = ch
     sim.sandbox(sandbox_a).charge_running(sim.cost.vmexit_cost + sim.cost.vmentry_cost)
     return ch

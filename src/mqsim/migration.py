@@ -22,6 +22,7 @@ from mqsim.bounds.formulas import clock_adjustment, migration_bound
 from mqsim.errors import BlockedOnIo, DestinationBusy, NotEligible, ValidationError
 from mqsim.sched import Compute, MonitorChunk, Park
 
+MIGRATION_MODES = ("thread", "ipi-handler")
 MAX_SPACE_BYTES = 4 << 20
 PAGE_BYTES = 4096
 
@@ -144,6 +145,8 @@ class MigrationEngine:
     def request_migration(self, source: str, destination: str, space_id: str,
                           mode: str = "thread", pde_extra_delay: int = 0,
                           _retry_of: MigrationJob | None = None) -> MigrationJob:
+        if mode not in MIGRATION_MODES:
+            raise ValidationError(f"mode {mode!r} is not one of {MIGRATION_MODES}")
         src = self.sim.sandbox(source)
         dst = self.sim.sandbox(destination)
         space = src.spaces.get(space_id)

@@ -34,9 +34,14 @@ busy) and ``"initial_sleep_us"``; the sender also takes ``"busy_wait_us"``
 (compute before each send), ``"pace_us"`` (align sends to multiples of it
 in local time) and ``"exchanges"`` (stop after that many; default never).
 Every sandbox's VCPU set must pass its own admission test at load time.  An
-unknown ``admission``, ``kind`` or ``wait`` value, an unknown ``cost_model``
-key or a cost the ``CostModel`` refuses, and a second channel between the same
-two sandboxes are each a ``ValidationError``.
+unknown ``admission``, ``kind``, ``wait`` or migration ``mode`` value, an
+unknown ``cost_model`` key or a cost the ``CostModel`` refuses, a second
+channel between the same two sandboxes, a channel work (``n_bytes * delta_s``
+or ``m_bytes * delta_d``, converted at load) that is malformed, negative or
+not a whole number of ticks, a migration to its own sandbox or of a space
+its ``from`` sandbox lacks, and a time that is not a number of seconds
+(``run_until_s`` and ``sample_period_s`` of at least one tick, ``at_s`` >= 0)
+are each a ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from mqsim.clock import SandboxClock
 from mqsim.errors import (DestinationBusy, NotEligible, ParseError,
                           ValidationError)
 from mqsim.ipc import ExchangeProfile, establish_channel
-from mqsim.migration import AddressSpace, MigrationEngine
+from mqsim.migration import MIGRATION_MODES, AddressSpace, MigrationEngine
 from mqsim.sched import ADMISSION_MODES, VCPU_KINDS, Sandbox, admit
 
 
@@ -71,11 +76,21 @@ class Scenario:
 
     @property
     def run_until_us(self) -> int:
-        return int(self.raw.get("run_until_s", 10) * self.ticks_per_second)
+        return self.ticks_of(self.raw, "run_until_s", 10)
 
     @property
     def sample_period_us(self) -> int:
-        return int(self.raw.get("sample_period_s", 1) * self.ticks_per_second)
+        return self.ticks_of(self.raw, "sample_period_s", 1)
+
+    def ticks_of(self, entry: dict, key: str, default, least: int = 1) -> int:
+        """``entry[key]`` seconds as ticks: an int or a float (not bool),
+        not negative, giving at least ``least`` ticks."""
+        s = entry.get(key, default)
+        if (type(s) not in (int, float) or not 0 <= s < float("inf")
+                or int(s * self.ticks_per_second) < least):
+            raise ValidationError(f"{key}: need seconds giving at least {least} "
+                                  f"tick(s), got {s!r}")
+        return int(s * self.ticks_per_second)
 
 
 def load_scenario(path_or_dict) -> Scenario:
@@ -102,6 +117,7 @@ def _validate(sc: Scenario):
         raise ValidationError("schema: expected 1")
     if not (0 < sc.tick_ns <= 1_000_000_000):
         raise ValidationError("tick_ns: must be in 1..1e9")
+    sc.run_until_us, sc.sample_period_us  # each raises if malformed
     if "cost_model" not in raw:
         sc.warnings.append("cost_model missing: defaults applied")
     try:
@@ -165,13 +181,40 @@ def _validate(sc: Scenario):
             raise ValidationError(f"channels {pairs[pair]!r} and {ch.get('id')!r} "
                                   f"join the same sandbox pair")
         pairs[pair] = ch.get("id")
+        _exchange_profile(ch)
     for mig in raw.get("migrations", []):
-        if mig.get("space") not in spaces:
-            raise ValidationError(f"migration: unknown address space "
-                                  f"{mig.get('space')!r}")
-        for side in ("from", "to"):
-            if mig.get(side) not in ids:
-                raise ValidationError(f"migration: unknown sandbox {mig.get(side)!r}")
+        space, src = mig.get("space"), mig.get("from")
+        if space not in spaces or spaces[space] != src:
+            raise ValidationError(f"migration: no address space {space!r} in {src!r}")
+        if mig.get("to") not in ids or mig["to"] == src:
+            raise ValidationError(f"migration: 'to' must name another sandbox than "
+                                  f"{src!r}, got {mig.get('to')!r}")
+        if (mode := mig.get("mode", "thread")) not in MIGRATION_MODES:
+            raise ValidationError(f"migration: mode {mode!r} is not one of "
+                                  f"{MIGRATION_MODES}")
+        sc.ticks_of(mig, "at_s", 5, least=0)
+
+
+def _exchange_profile(ch: dict) -> ExchangeProfile:
+    """A channel's profile: each message size times its per-byte cost is
+    converted to a work, which must be a whole number of ticks."""
+    try:
+        works = []
+        for size_key, cost_key in (("n_bytes", "delta_s"), ("m_bytes", "delta_d")):
+            size, cost = ch.get(size_key, 2048), ch.get(cost_key, "1/8")
+            if type(size) is not int or type(cost) is bool:
+                raise ValueError(f"{size_key} must be an int and {cost_key} a "
+                                 f"number, got {size!r} and {cost!r}")
+            cost = Fraction(cost)
+            if size < 0 or cost < 0 or (size * cost).denominator != 1:
+                raise ValueError(f"{size_key} * {cost_key} = {size} * {cost} is "
+                                 f"not a whole, non-negative number of ticks")
+            works.append(int(size * cost))
+        return ExchangeProfile(*works, k=ch.get("k_us", 0),
+                               poll_cost=ch.get("poll_cost_us", 10),
+                               poll_interval=ch.get("poll_interval_us", 500))
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ValidationError(f"channel {ch.get('id')!r}: {exc}") from exc
 
 
 @dataclass
@@ -208,15 +251,8 @@ def build(sc: Scenario) -> BuiltScenario:
                 engine.create_migration_thread(sb, v)
 
     for ch_raw in raw.get("channels", []):
-        prof = ExchangeProfile(
-            n_bytes=ch_raw.get("n_bytes", 2048),
-            m_bytes=ch_raw.get("m_bytes", 2048),
-            delta_s=Fraction(ch_raw.get("delta_s", "1/8")),
-            delta_d=Fraction(ch_raw.get("delta_d", "1/8")),
-            k=ch_raw.get("k_us", 0),
-            poll_cost=ch_raw.get("poll_cost_us", 10),
-            poll_interval=ch_raw.get("poll_interval_us", 500))
-        ch = establish_channel(sim, ch_raw["a"], ch_raw["b"], prof)
+        ch = establish_channel(sim, ch_raw["a"], ch_raw["b"],
+                               _exchange_profile(ch_raw))
         out.channels[ch_raw.get("id", ch.id)] = ch
 
     endpoint = {}
@@ -301,7 +337,7 @@ class MigrationTrigger:
         self.raw = raw
         self.job = None
         self.seen_eligible = False
-        at = int(raw.get("at_s", 5) * built.scenario.ticks_per_second)
+        at = built.scenario.ticks_of(raw, "at_s", 5, least=0)
         built.sim.post_event(at, "mig-trigger", raw["from"], None,
                              lambda ev: self._check())
 

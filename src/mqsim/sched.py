@@ -34,8 +34,7 @@ class Compute:
 @dataclass
 class Send:
     channel: object
-    nbytes: int
-    remaining: int = -1  # filled at install from the channel profile
+    remaining: int
 
 
 @dataclass
@@ -77,8 +76,9 @@ class TaskApi:
     def compute(self, ticks: int) -> Compute:
         return Compute(int(ticks))
 
-    def send(self, channel, nbytes: int) -> Send:
-        return Send(channel, int(nbytes))
+    def send(self, channel) -> Send:
+        """Raises ``MailboxFull`` if the peer has not taken the last message."""
+        return Send(channel, channel.send_work(self.task))
 
     def poll_wait(self, channel) -> PollWait:
         return PollWait(channel)
@@ -100,11 +100,6 @@ class TaskApi:
         sb = self.task.sandbox
         return sb.clock.to_local(sb.sim.now)
 
-    def try_poll(self, channel):
-        """Instant mailbox check without a poll charge (pair with a
-        compute(poll_cost) step to model the attempt's cost)."""
-        return channel.take(self.task)
-
 
 @dataclass
 class PendingWake:
@@ -124,7 +119,6 @@ class Task:
         self.program = program
         self.steps = None
         self.step = None
-        self.pending_result = None
         self.ready = False
         self.done = False
         self.io_blocked = False
@@ -506,11 +500,10 @@ class Sandbox:
         self.running.consume(cost, allow_overrun=True)
         self.touch()
 
-    def end_poll(self, task: Task, result):
+    def end_poll(self, task: Task):
         """End the busy-wait of ``task``, which is on this sandbox's CPU
-        right now, with ``result`` as the value of its poll."""
+        right now and has just taken its message."""
         task.step = None
-        task.pending_result = result
         self.touch()
 
     def kernel_block(self, duration: int, then):
@@ -771,12 +764,10 @@ class Sandbox:
         st = task.step
         task.step = None
         if isinstance(st, Send):
-            st.channel.finish_send(task, self.sim.now, st.nbytes)
+            st.channel.finish_send(task, self.sim.now)
         elif isinstance(st, MonitorChunk):
             self.monitor_busy = False
             st.job.engine.on_chunk_done(task, st)
-        else:
-            task.pending_result = None
 
     def _resolve_instant(self, v: Vcpu) -> bool | None:
         """Complete the zero-length work at the head of ``v``'s queue (finished
@@ -799,11 +790,9 @@ class Sandbox:
             elif (st := work.step) is None:
                 self._install_next(work)
             elif type(st) is PollWait:
-                msg = st.channel.take(work)
-                if msg is None:
+                if st.channel.take(work) is None:
                     return completed
                 work.step = None
-                work.pending_result = msg
             elif st.remaining:
                 return completed
             else:
@@ -816,14 +805,11 @@ class Sandbox:
         if task.steps is None:
             task.steps = task.program(TaskApi(task))
         try:
-            st = task.steps.send(task.pending_result)
+            st = next(task.steps)
         except StopIteration:
             task.done = True
             task.leave_ready()
             return
-        task.pending_result = None
-        if isinstance(st, Send):
-            st.remaining = st.channel.send_work(task, st.nbytes)
         if isinstance(st, (Compute, Send, PollWait, MonitorChunk)):
             task.step = st
             return

@@ -59,7 +59,7 @@ def _sleep_poll(api, channel):
     prof = channel.profile
     while True:
         yield api.compute(prof.poll_cost)
-        if api.try_poll(channel) is not None:
+        if channel.take(api.task) is not None:
             return
         yield api.sleep_for(prof.poll_interval)
 
@@ -82,7 +82,6 @@ def pingpong_sender(channel, *, exchanges: int | None = None, busy_wait: int = 0
     _check_wait(wait)
 
     def program(api):
-        prof = channel.profile
         if initial_sleep:
             yield api.sleep_for(initial_sleep)
         i = 0
@@ -93,7 +92,7 @@ def pingpong_sender(channel, *, exchanges: int | None = None, busy_wait: int = 0
             if busy_wait:
                 yield api.compute(busy_wait)
             t0 = api.local_now()
-            yield api.send(channel, prof.n_bytes)
+            yield api.send(channel)
             if wait == "busy":
                 yield api.poll_wait(channel)
             else:
@@ -120,6 +119,6 @@ def pingpong_receiver(channel, *, initial_sleep: int = 0, wait: str = "busy"):
                 yield from _sleep_poll(api, channel)
             if prof.k:
                 yield api.compute(prof.k)
-            yield api.send(channel, prof.m_bytes)
+            yield api.send(channel)
             api.task.count("exchanges")
     return program

@@ -1,7 +1,5 @@
 """Mailbox channels: isolation, depth-1 semantics, and exchange timing."""
 
-from fractions import Fraction
-
 import pytest
 
 from mqsim.bounds import observation_delay
@@ -22,8 +20,7 @@ def pair(profile=None, n_work=5, m_work=4, cs=2, ts=10, cd=3, td=15,
     d = Sandbox(sim, "d")
     vs = s.add_vcpu("vs", cs, ts)
     vd = d.add_vcpu("vd", cd, td)
-    prof = profile or ExchangeProfile(n_bytes=n_work, m_bytes=m_work,
-                                      delta_s=1, delta_d=1, k=0)
+    prof = profile or ExchangeProfile(n_work, m_work)
     ch = establish_channel(sim, "s", "d", prof)
     snd = s.add_task("snd", vs, start_ready=not idle,
                      program=pingpong_sender(ch, **(sender_kwargs or {})))
@@ -44,6 +41,15 @@ class TestEstablish:
         ch2 = establish_channel(sim, "b", "a")
         assert ch1 is ch2
 
+    def test_second_profile_for_a_pair_rejected(self):
+        sim = Simulator()
+        Sandbox(sim, "a")
+        Sandbox(sim, "b")
+        ch = establish_channel(sim, "a", "b")
+        with pytest.raises(ValidationError, match="channel a-b"):
+            establish_channel(sim, "b", "a", ExchangeProfile(k=500))
+        assert ch.profile.k == 0
+
     def test_self_channel_rejected(self):
         sim = Simulator()
         Sandbox(sim, "a")
@@ -61,7 +67,7 @@ class TestEstablish:
 
     def test_free_exchange_rejected(self):
         with pytest.raises(ValueError):
-            ExchangeProfile(n_bytes=0, m_bytes=0, k=0)
+            ExchangeProfile(request_work=0, response_work=0, k=0)
 
     @pytest.mark.parametrize("side", [pingpong_sender, pingpong_receiver])
     def test_unknown_wait_rejected_before_any_step(self, side):
@@ -77,35 +83,25 @@ class TestMailbox:
 
     def test_send_to_full_mailbox_rejected(self):
         sim, ch, snd, rcv = pair(idle=True)
-        ch.finish_send(snd, 0, 5)
+        ch.finish_send(snd, 0)
         with pytest.raises(MailboxFull):
-            ch.send_work(snd, 5)
+            ch.send_work(snd)
 
     def test_message_consumed_once(self):
         sim, ch, snd, rcv = pair(idle=True)
-        ch.finish_send(snd, 0, 5)
+        ch.finish_send(snd, 0)
         assert ch.take(rcv) is not None
         assert ch.take(rcv) is None
 
     def test_cached_send_cost_still_checks_the_outbox(self):
         sim, ch, snd, rcv = pair(idle=True)
-        assert ch.send_work(snd, 5) == 5
-        ch.finish_send(snd, 0, 5)
+        assert ch.send_work(snd) == 5
+        ch.finish_send(snd, 0)
         with pytest.raises(MailboxFull):
-            ch.send_work(snd, 5)
+            ch.send_work(snd)
+        assert ch.send_work(rcv) == 4
         assert ch.take(rcv) is not None
-        assert ch.send_work(snd, 5) == 5
-
-    def test_non_integral_cost_raises_after_a_cached_one(self):
-        prof = ExchangeProfile(n_bytes=4, m_bytes=4, delta_s=Fraction(1, 2),
-                               delta_d=Fraction(1, 2))
-        sim, ch, snd, rcv = pair(profile=prof, idle=True)
-        assert ch.send_work(snd, 4) == 2
-        with pytest.raises(ValueError):
-            ch.send_work(snd, 3)
-        with pytest.raises(ValueError):
-            ch.send_work(snd, 3)
-        assert ch.send_work(rcv, 4) == 2
+        assert ch.send_work(snd) == 5
 
 
 class TestExchangeTiming:
@@ -124,7 +120,7 @@ class TestExchangeTiming:
         assert rtts == [5, 5, 5, 5, 5]
 
     def test_service_time_charged_before_reply(self):
-        prof = ExchangeProfile(n_bytes=3, m_bytes=2, delta_s=1, delta_d=1, k=4)
+        prof = ExchangeProfile(3, 2, k=4)
         sim, ch, snd, rcv = pair(profile=prof, cs=10, ts=10, cd=10, td=10)
         rtts = run_pingpong(sim, ch, 3, LIMIT)
         assert rtts == [9, 9, 9]  # 3 send + 4 service + 2 reply
@@ -147,9 +143,7 @@ class TestExchangeTiming:
         """Receiver 2/10 against a 20/100 sender with a 5 ms request and a
         1 ms reply: spanning send start plus a window-close alignment
         realizes the analytic worst case exactly."""
-        prof = ExchangeProfile(n_bytes=2048, m_bytes=2048,
-                               delta_s=Fraction(5000, 2048),
-                               delta_d=Fraction(1000, 2048))
+        prof = ExchangeProfile(5_000, 1_000)
         sim, ch, snd, rcv = pair(profile=prof, cs=20_000, ts=100_000,
                                  cd=2_000, td=10_000,
                                  sender_kwargs={"busy_wait": 16_000},
@@ -162,9 +156,7 @@ class TestExchangeTiming:
         case4 point at busy wait 7 ms and receiver phase 120 ms, run to its
         samples and stepped in 1 s steps."""
         c_s, t_s = experiments.FIG12_SENDER
-        prof = ExchangeProfile(n_bytes=2048, m_bytes=2048,
-                               delta_s=Fraction(experiments.FIG12_REQUEST_WORK, 2048),
-                               delta_d=Fraction(5_000, 2048))
+        prof = ExchangeProfile(experiments.FIG12_REQUEST_WORK, 5_000)
 
         def point():
             return pair(profile=prof, cs=c_s, ts=t_s, cd=20_000, td=200_000,

@@ -5,7 +5,7 @@ import pytest
 
 from mqsim.clock import SandboxClock
 from mqsim.core import CostModel, Simulator
-from mqsim.errors import BlockedOnIo, DestinationBusy, NotEligible
+from mqsim.errors import BlockedOnIo, DestinationBusy, NotEligible, ValidationError
 from mqsim.migration import AddressSpace, MigrationEngine
 from mqsim.sched import Sandbox
 from mqsim.workloads import busy_loop, sleeper
@@ -81,6 +81,13 @@ class TestEligibility:
         sim.run_until(25_000)  # budget exhausted at 20 ms
         job = eng.request_migration("sb1", "sb2", "work_as")
         assert job.e_s == 100_000 - 25_000
+
+    def test_unknown_mode_rejected(self):
+        sim, eng, sb1, sb2, vc, task = rig()
+        sim.run_until(25_000)
+        with pytest.raises(ValidationError, match="bogus"):
+            eng.request_migration("sb1", "sb2", "work_as", mode="bogus")
+        assert not eng.jobs
 
     def test_io_blocked_task_rejected(self):
         sim, eng, sb1, sb2, vc, task = rig()

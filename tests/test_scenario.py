@@ -74,6 +74,39 @@ class TestValidation:
         with pytest.raises(ValidationError, match="address space"):
             load_scenario(raw)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"mode": "bogus"}, "mode 'bogus'"),
+        ({"to": "sb1"}, "another sandbox than 'sb1'"),
+        ({"from": "sb2", "to": "sb1"}, "no address space 'canny_as' in 'sb2'"),
+    ], ids=["unknown-mode", "to-itself", "space-not-in-source"])
+    def test_migration_entry_checked(self, change, message):
+        raw = table1()
+        raw["migrations"][0].update(change)
+        with pytest.raises(ValidationError, match=message):
+            load_scenario(raw)
+
+    @pytest.mark.parametrize("where, value", [
+        ("sample_period_s", 0), ("sample_period_s", 1e-7),
+        ("sample_period_s", -1), ("sample_period_s", True),
+        ("run_until_s", "12"), ("run_until_s", 0), ("at_s", -1),
+        ("at_s", "5"),
+    ])
+    def test_times_checked(self, where, value):
+        raw = table1()
+        (raw["migrations"][0] if where == "at_s" else raw)[where] = value
+        with pytest.raises(ValidationError, match=where):
+            load_scenario(raw)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_bytes", 2047), ("delta_s", "abc"), ("delta_s", "-1/8"),
+        ("m_bytes", "2048"), ("delta_d", True),
+    ])
+    def test_channel_work_checked(self, key, value):
+        raw = table1()
+        raw["channels"][0][key] = value
+        with pytest.raises(ValidationError, match="channel 'main'"):
+            load_scenario(raw)
+
     def test_missing_cost_model_warns(self):
         raw = table1()
         raw.pop("cost_model", None)
@@ -160,6 +193,11 @@ class TestBuild:
         assert built.channels["main"].task_b is built.tasks["comms2"]
         assert len(built.triggers) == 1
         assert "canny_as" in built.sim.sandboxes["sb1"].spaces
+
+    def test_channel_bytes_become_works(self):
+        """2048 bytes at 1/8 tick per byte each way."""
+        prof = build(load_scenario(table1())).channels["main"].profile
+        assert (prof.request_work, prof.response_work) == (256, 256)
 
     def test_channel_needs_both_sides(self):
         raw = table1()

@@ -7,8 +7,8 @@ that only tests read, is a second path the simulator never runs.
 
 Both checks match by bare name, so they have blind spots: a definition or a
 field is taken as used when any other one of the same name is.
-``ExchangeProfile.request_work()`` went unflagged while it existed, because
-``CommBoundInput.request_work`` is read.  Dunder methods are skipped, and
+``Message.nbytes`` went unflagged while it existed, because
+``Send.nbytes`` was read.  Dunder methods are skipped, and
 parameters and their defaults are not checked at all."""
 
 import ast

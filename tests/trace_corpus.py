@@ -76,8 +76,8 @@ def build_setup(seed: int) -> Simulator:
         sandboxes.append(sb)
     if rng.random() < 0.5:
         wait = rng.choice(("busy", "sleep"))
-        profile = ExchangeProfile(n_bytes=rng.choice((800, 4000, 8000)),
-                                  m_bytes=rng.choice((0, 800, 4000)),
+        profile = ExchangeProfile(request_work=rng.choice((100, 500, 1000)),
+                                  response_work=rng.choice((0, 100, 500)),
                                   k=rng.choice((0, 500)), poll_interval=500)
         ch = establish_channel(sim, "s1", "s2", profile)
         s1, s2 = sandboxes
