@@ -95,7 +95,7 @@ def _cmd_run(args) -> int:
         sampler.add_counter(f"counters.{name}",
                             lambda t=task: sum(t.counters.values()))
     sampler.start()
-    until = int(args.until * sc.ticks_per_second) if args.until else sc.run_until_us
+    until = int(args.until * 1_000_000) if args.until else sc.run_until_us
     built.sim.run_until(until)
     finish_run(built.sim)
     summary = {

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from mqsim.errors import ValidationError
+
 
 @dataclass(frozen=True)
 class SandboxClock:
@@ -14,8 +16,10 @@ class SandboxClock:
     drift_ppm: int = 0
 
     def __post_init__(self):
-        if self.drift_ppm <= -1_000_000:
-            raise ValueError("drift_ppm must exceed -1e6 to keep time monotone")
+        if (type(self.offset) is not int or type(self.drift_ppm) is not int
+                or self.drift_ppm <= -1_000_000):
+            raise ValidationError(f"need ints, drift_ppm > -1e6 to keep time "
+                                  f"monotone; got {self.offset!r}, {self.drift_ppm!r}")
 
     def to_local(self, t_true: int) -> int:
         return t_true + self.offset + (t_true * self.drift_ppm) // 1_000_000

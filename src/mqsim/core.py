@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import itemgetter
 
-from mqsim.errors import PastTimestamp, SelfIpi, UnknownSandbox
+from mqsim.errors import PastTimestamp, SelfIpi, UnknownSandbox, ValidationError
 from mqsim.trace import SimTrace
 
 
@@ -33,9 +33,9 @@ class CostModel:
     def __post_init__(self):
         for name, val in self.__dict__.items():
             if val < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ValidationError(f"{name} must be >= 0")
         if self.page_copy_nocache < self.page_copy_cache:
-            raise ValueError("no-cache page copy cannot be cheaper than cached")
+            raise ValidationError("no-cache page copy cannot be cheaper than cached")
 
     @property
     def resume_overhead(self) -> int:

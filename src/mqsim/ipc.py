@@ -27,11 +27,13 @@ class ExchangeProfile:
     poll_interval: int = 500
 
     def __post_init__(self):
-        # a free exchange would let two busy-polling tasks trade messages
-        # forever without simulated time passing
-        if self.request_work + self.k + self.response_work <= 0:
-            raise ValueError("an exchange must take time: request, service "
-                             "and response all cost zero ticks")
+        # a free exchange or a free poll would let the tasks trade messages
+        # or poll forever without simulated time passing
+        works = (self.request_work, self.response_work, self.k)
+        if (min(*works, self.poll_cost, self.poll_interval) < 0 or sum(works) == 0
+                or self.poll_cost + self.poll_interval == 0):
+            raise ValidationError(f"works and poll costs must be >= 0, and an "
+                                  f"exchange and a poll must take time: {self}")
 
 
 @dataclass

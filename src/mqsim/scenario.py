@@ -1,220 +1,274 @@
-"""Scenario files: a JSON description of sandboxes, VCPUs, workloads,
-channels, and migration triggers, validated and instantiated into a ready
-simulator.
+"""Scenario files: JSON descriptions of sandboxes, VCPUs, workloads, channels
+and migration triggers, checked into a spec and built into a simulator.
 
-Schema (version 1) in brief::
-
-    {
-      "schema": 1,
-      "cost_model": {"rdtsc_cost": 1, ...},            # optional, defaults
-      "sandboxes": [
-        {"id": "sb1", "clock": {"offset_us": 0, "drift_ppm": 0},
-         "admission": "ll|exact|cap",
-         "vcpus": [
-            {"id": "v", "c_us": 20000, "t_us": 100000,
-             "kind": "main|io", "highest_priority": false,
-             "role": "migration" | null,
-             "task": {"type": "busy|sleeper|logger|pingpong_send|pingpong_recv|io_cycle", ...},
-             "address_space": {"id": "as", "total_pages": 370, ...}}]}],
-      "channels": [{"id": "main", "a": "sb1", "b": "sb2", "n_bytes": 2048,
-                    "m_bytes": 2048, "delta_s": "1/8", "delta_d": "1/8",
-                    "k_us": 0, "poll_cost_us": 10, "poll_interval_us": 500}],
-      "migrations": [{"at_s": 5, "space": "canny_as", "from": "sb1",
-                      "to": "sb2", "mode": "thread",
-                      "pde_extra_delay_us": 0,
-                      "delay_after_depletion_us": 200}],
-      "run_until_s": 12,
-      "sample_period_s": 1
-    }
-
-Task programs reference channels by id; each channel must be used by exactly
-one task per side.  The ping-pong tasks take ``"channel"`` and
-``"wait": "busy"|"sleep"`` (busy-poll or sleep-poll for the message, default
-busy) and ``"initial_sleep_us"``; the sender also takes ``"busy_wait_us"``
-(compute before each send), ``"pace_us"`` (align sends to multiples of it
-in local time) and ``"exchanges"`` (stop after that many; default never).
-Every sandbox's VCPU set must pass its own admission test at load time.  An
-unknown ``admission``, ``kind``, ``wait`` or migration ``mode`` value, an
-unknown ``cost_model`` key or a cost the ``CostModel`` refuses, a second
-channel between the same two sandboxes, a channel work (``n_bytes * delta_s``
-or ``m_bytes * delta_d``, converted at load) that is malformed, negative or
-not a whole number of ticks, a migration to its own sandbox or of a space
-its ``from`` sandbox lacks, and a time that is not a number of seconds
-(``run_until_s`` and ``sample_period_s`` of at least one tick, ``at_s`` >= 0)
-are each a ``ValidationError``.
+The tables below map each key of an object to its rule (an int: the least
+int, never a bool; a tuple: the values allowed; a type; or a converter) and
+its default (``REQUIRED``: none; ``ABSENT``: left out, so that a task takes
+its workload function's default).  A task's keys are its workload
+function's parameters, with ``_us`` added for a time in 1 us ticks.  The
+seconds of ``run_until_s``, ``sample_period_s`` and ``at_s`` become
+``int(s * 1_000_000)`` ticks.  A ``ValidationError`` names the object and
+key of an unknown or missing key, of a value its rule or object refuses,
+and of a broken rule across entries: a repeated id, a dangling reference,
+a channel without one sender and one receiver or sharing its sandboxes, a
+failed admission test, a thread migration to a sandbox with no thread.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from mqsim import workloads
 from mqsim.core import CostModel, Simulator
 from mqsim.clock import SandboxClock
-from mqsim.errors import (DestinationBusy, NotEligible, ParseError,
-                          ValidationError)
+from mqsim.errors import (BlockedOnIo, DestinationBusy, NotEligible,
+                          ParseError, ValidationError)
 from mqsim.ipc import ExchangeProfile, establish_channel
 from mqsim.migration import MIGRATION_MODES, AddressSpace, MigrationEngine
 from mqsim.sched import ADMISSION_MODES, VCPU_KINDS, Sandbox, admit
 
+REQUIRED, ABSENT = object(), object()
+
+
+def _seconds(least: int):
+    """A converter from seconds (an int or float) to at least ``least`` ticks."""
+    def to_ticks(where: str, s):
+        if type(s) in (int, float) and 0 <= s < float("inf") \
+                and int(s * 1_000_000) >= least:
+            return int(s * 1_000_000)
+        raise ValidationError(f"{where} {s!r} is not seconds giving {least}+ ticks")
+    return to_ticks
+
+
+def _per_byte(where: str, cost):
+    """A converter from a per-byte cost, a number or a string like "1/8", to
+    a Fraction of ticks."""
+    try:
+        if type(cost) in (int, float, str) and (f := Fraction(cost)) >= 0:
+            return f
+    except (ValueError, ArithmeticError):
+        pass
+    raise ValidationError(f"{where} {cost!r} is not a non-negative number")
+
+
+SCENARIO = {"schema": ((1,), REQUIRED), "cost_model": (dict, {}),
+            "sandboxes": (list, REQUIRED), "channels": (list, []),
+            "migrations": (list, []), "run_until_s": (_seconds(1), 10),
+            "sample_period_s": (_seconds(1), 1)}
+COST_MODEL = {f.name: (0, f.default) for f in fields(CostModel)}
+SANDBOX = {"id": (str, REQUIRED), "admission": (ADMISSION_MODES, "ll"),
+           "clock": (dict, {}), "vcpus": (list, [])}
+CLOCK = {"offset_us": (int, 0), "drift_ppm": (int, 0)}  # SandboxClock's order
+VCPU = {"id": (str, REQUIRED), "c_us": (1, REQUIRED), "t_us": (1, REQUIRED),
+        "kind": (VCPU_KINDS, "main"), "role": (("migration", None), None),
+        "highest_priority": (bool, ABSENT),  # for a migration thread if absent
+        "task": (dict, ABSENT), "address_space": (dict, ABSENT)}
+ADDRESS_SPACE = {"id": (str, REQUIRED), "total_pages": (0, 0),
+                 "pde_count": (1, 1024), "pages_per_pde": (1, 1024),
+                 "task_controls": (list, ABSENT),  # the VCPU's task if absent
+                 "tss_limit": (0, 8)}
+WAIT = (workloads.WAIT_MODES, ABSENT)
+TASKS = {  # type: (workload function, table of its parameters)
+    "busy": (workloads.busy_loop, {"iteration_cost_us": (1, ABSENT)}),
+    "sleeper": (workloads.sleeper, {}),
+    "logger": (workloads.periodic_logger,
+               {"period_us": (1, ABSENT), "work_us": (0, ABSENT)}),
+    "io_cycle": (workloads.io_cycle, {"compute_us": (0, ABSENT),
+                 "io_latency_us": (0, ABSENT), "io_work_us": (0, ABSENT)}),
+    "pingpong_send": (workloads.pingpong_sender, {
+        "channel": (str, REQUIRED), "exchanges": (0, ABSENT), "wait": WAIT,
+        "busy_wait_us": (0, ABSENT), "initial_sleep_us": (0, ABSENT),
+        "pace_us": (1, ABSENT)}),
+    "pingpong_recv": (workloads.pingpong_receiver, {
+        "channel": (str, REQUIRED), "initial_sleep_us": (0, ABSENT), "wait": WAIT}),
+}
+TASK = {"type": (tuple(TASKS), REQUIRED), "name": (str, ABSENT)}  # VCPU id if absent
+CHANNEL = {"id": (str, REQUIRED), "a": (str, REQUIRED), "b": (str, REQUIRED),
+           "n_bytes": (0, 2048), "m_bytes": (0, 2048),
+           "delta_s": (_per_byte, "1/8"), "delta_d": (_per_byte, "1/8"),
+           "k_us": (0, 0), "poll_cost_us": (0, 10), "poll_interval_us": (0, 500)}
+MIGRATION = {"at_s": (_seconds(0), 5), "space": (str, REQUIRED),
+             "from": (str, REQUIRED), "to": (str, REQUIRED),
+             "mode": (MIGRATION_MODES, "thread"), "pde_extra_delay_us": (0, 0),
+             "delay_after_depletion_us": (0, 200)}
+
+
+def _entry(name: str, raw, table: dict) -> dict:
+    """``raw`` checked against ``table``, with its defaults filled in."""
+    if type(raw) is not dict:
+        raise ValidationError(f"{name} {raw!r} is not an object")
+    out = {}
+    for key, (rule, default) in table.items():
+        value = raw.get(key, default)
+        if value is REQUIRED:
+            raise ValidationError(f"{name}: missing key {key!r}")
+        if value is not ABSENT:
+            out[key] = _check(f"{name}: {key}", rule, value)
+    for key in raw:
+        if key not in table:
+            raise ValidationError(f"{name}: unknown key {key!r}")
+    return out
+
+
+def _check(where: str, rule, value):
+    if type(rule) is int:
+        ok, what = type(value) is int and value >= rule, f"an int >= {rule}"
+    elif type(rule) is tuple:
+        ok = any(type(value) is type(a) and value == a for a in rule)
+        what = f"one of {rule}"
+    elif type(rule) is type:
+        ok, what = type(value) is rule, f"of type {rule.__name__}"
+    else:
+        return rule(where, value)
+    if not ok:
+        raise ValidationError(f"{where} {value!r} is not {what}")
+    return value
+
+
+def _entries(kind: str, parent: dict, key: str, table: dict) -> list:
+    """Check the items of ``parent[key]`` against ``table`` in place, and
+    name each by ``kind`` and its id (or its index): ``(name, entry)``s."""
+    out = []
+    for i, item in enumerate(parent[key]):
+        ident = item.get("id") if type(item) is dict else None
+        name = f"{kind} {ident if type(ident) is str else i!r}"
+        out.append((name, _entry(name, item, table)))
+    parent[key] = [entry for _, entry in out]
+    return out
+
+
+def _add(seen: dict, key, value, what: str):
+    if key in seen:
+        raise ValidationError(f"duplicate {what} {key!r}")
+    seen[key] = value
+
+
+def _call(name: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with a refusal named as ``name``'s."""
+    try:
+        return fn(*args, **kwargs)
+    except ValidationError as exc:
+        raise ValidationError(f"{name}: {exc}") from None
+
+
+def _program(task: dict, channel):
+    """The task's workload function called with its parameters (at load,
+    without its channel, so that the function checks them)."""
+    fn, table = TASKS[task["type"]]
+    args = {key.removesuffix("_us"): task[key] for key in table if key in task}
+    if "channel" in table:
+        args["channel"] = channel
+    return fn(**args)
+
 
 @dataclass
 class Scenario:
-    """A validated scenario plus the warnings collected while filling defaults."""
-    raw: dict
-    warnings: list = field(default_factory=list)
-
-    @property
-    def tick_ns(self) -> int:
-        return self.raw.get("tick_ns", 1000)
-
-    @property
-    def ticks_per_second(self) -> int:
-        return 1_000_000_000 // self.tick_ns
-
-    @property
-    def run_until_us(self) -> int:
-        return self.ticks_of(self.raw, "run_until_s", 10)
-
-    @property
-    def sample_period_us(self) -> int:
-        return self.ticks_of(self.raw, "sample_period_s", 1)
-
-    def ticks_of(self, entry: dict, key: str, default, least: int = 1) -> int:
-        """``entry[key]`` seconds as ticks: an int or a float (not bool),
-        not negative, giving at least ``least`` ticks."""
-        s = entry.get(key, default)
-        if (type(s) not in (int, float) or not 0 <= s < float("inf")
-                or int(s * self.ticks_per_second) < least):
-            raise ValidationError(f"{key}: need seconds giving at least {least} "
-                                  f"tick(s), got {s!r}")
-        return int(s * self.ticks_per_second)
+    """A loaded scenario: its spec (defaults filled in, times in ticks, value
+    objects built), run length, sample period and load-time warnings."""
+    spec: dict
+    warnings: list
+    run_until_us: int
+    sample_period_us: int
 
 
 def load_scenario(path_or_dict) -> Scenario:
-    """Parse and validate a scenario file (or an already-decoded dict)."""
-    if isinstance(path_or_dict, dict):
-        raw = path_or_dict
-    else:
+    """Parse and check a scenario file (or an already-decoded dict)."""
+    raw = path_or_dict
+    if not isinstance(raw, dict):
         try:
-            with open(path_or_dict) as fh:
+            with open(raw) as fh:
                 raw = json.load(fh)
         except OSError as exc:
             raise ParseError(f"cannot read scenario: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ParseError(f"scenario is not valid JSON: line {exc.lineno}, "
                              f"{exc.msg}") from exc
-    sc = Scenario(raw)
-    _validate(sc)
-    return sc
-
-
-def _validate(sc: Scenario):
-    raw = sc.raw
-    if raw.get("schema") != 1:
-        raise ValidationError("schema: expected 1")
-    if not (0 < sc.tick_ns <= 1_000_000_000):
-        raise ValidationError("tick_ns: must be in 1..1e9")
-    sc.run_until_us, sc.sample_period_us  # each raises if malformed
-    if "cost_model" not in raw:
-        sc.warnings.append("cost_model missing: defaults applied")
-    try:
-        CostModel(**raw.get("cost_model", {}))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"cost_model: {exc}") from exc
-    sandboxes = raw.get("sandboxes")
-    if not sandboxes:
-        raise ValidationError("sandboxes: at least one required")
-    ids = set()
-    task_home = {}
-    spaces = {}
-    for sb in sandboxes:
-        sid = sb.get("id")
-        if not sid or sid in ids:
-            raise ValidationError(f"sandboxes: missing or duplicate id {sid!r}")
-        ids.add(sid)
-        mode = sb.get("admission", "ll")
-        if mode not in ADMISSION_MODES:
-            raise ValidationError(f"sandbox {sid}: admission must be one of "
-                                  f"{ADMISSION_MODES}, got {mode!r}")
+    spec = _entry("scenario", raw, SCENARIO)
+    warnings = [] if "cost_model" in raw else ["cost_model missing: defaults applied"]
+    spec["cost_model"] = _call("cost_model", CostModel, **_entry(
+        "cost_model", spec["cost_model"], COST_MODEL))
+    if not spec["sandboxes"]:
+        raise ValidationError("scenario: sandboxes is empty")
+    ids, vcpus, tasks, spaces, threads, ends = {}, {}, {}, {}, {}, {}
+    for sb_name, sb in _entries("sandbox", spec, "sandboxes", SANDBOX):
+        _add(ids, sid := sb["id"], sb, "sandbox")
+        clock = _entry(f"{sb_name}: clock", sb["clock"], CLOCK)
+        sb["clock"] = _call(f"{sb_name}: clock", SandboxClock, *clock.values())
         accepted = []
-        for v in sb.get("vcpus", []):
-            c, t = v.get("c_us"), v.get("t_us")
-            if c is None or t is None or not (0 < c <= t):
-                raise ValidationError(
-                    f"vcpu {v.get('id')!r} in {sid}: need 0 < c_us <= t_us")
-            kind = v.get("kind", "main")
-            if kind not in VCPU_KINDS:
-                raise ValidationError(f"vcpu {v.get('id')!r} in {sid}: kind must "
-                                      f"be one of {VCPU_KINDS}, got {kind!r}")
-            if kind == "main":
-                verdict = admit(accepted, c, t, mode)
+        for v_name, v in _entries(f"{sb_name}: vcpu", sb, "vcpus", VCPU):
+            _add(vcpus, v["id"], v, "vcpu")
+            if (c := v["c_us"]) > (t := v["t_us"]):
+                raise ValidationError(f"{v_name}: c_us {c} exceeds t_us {t}")
+            if v["kind"] == "main":
+                verdict = admit(accepted, c, t, sb["admission"])
                 if not verdict.accepted:
                     raise ValidationError(
-                        f"sandbox {sid}: VCPU set fails {mode} admission at "
-                        f"{v.get('id')!r} (util {float(verdict.utilization_after):.3f})")
+                        f"{sb_name}: VCPU set fails {sb['admission']} admission "
+                        f"at {v['id']!r} (util {float(verdict.utilization_after):.3f})")
                 accepted.append((c, t))
-            task = v.get("task")
-            if task:
-                wait = task.get("wait", "busy")
-                if wait not in workloads.WAIT_MODES:
-                    raise ValidationError(f"task of vcpu {v.get('id')!r} in {sid}: "
-                                          f"wait must be one of "
-                                          f"{workloads.WAIT_MODES}, got {wait!r}")
-                name = task.get("name", v.get("id"))
-                if name in task_home:
-                    raise ValidationError(f"duplicate task name {name!r}")
-                task_home[name] = sid
-            space = v.get("address_space")
-            if space:
-                spaces[space["id"]] = sid
-    pairs = {}
-    for ch in raw.get("channels", []):
-        for side in ("a", "b"):
-            if ch.get(side) not in ids:
-                raise ValidationError(
-                    f"channel {ch.get('id')!r}: side {side} names unknown sandbox")
+            if v["role"] == "migration":
+                _add(threads, sid, v, "migration thread in sandbox")
+            v.setdefault("highest_priority", v["role"] == "migration")
+            if (task := v.get("task")) is not None:
+                # str(): a malformed type may be unhashable
+                table = TASKS.get(str(task.get("type")), (None, {}))[1]
+                task = v["task"] = _entry(f"{v_name}: task", task, TASK | table)
+                task.setdefault("name", v["id"])
+                _add(tasks, task["name"], (sid, v["id"]), "task name")
+                _call(f"task {task['name']!r}", _program, task, None)
+                if "channel" in task:
+                    ends.setdefault(task["channel"], []).append(
+                        (task["type"], sid, task["name"]))
+            if "address_space" in v:
+                s_name = f"{v_name}: address_space"
+                space = _entry(s_name, v["address_space"], ADDRESS_SPACE)
+                space.setdefault("task_controls", [] if task is None else [task["name"]])
+                v["address_space"] = _call(s_name, AddressSpace, **space)
+                _add(spaces, space["id"], (sid, space["task_controls"], s_name),
+                     "address space")
+    for sid, controls, s_name in spaces.values():
+        homes = {tasks.get(t) if type(t) is str else None for t in controls}
+        if len(homes) != 1 or None in homes or homes.pop()[0] != sid:
+            raise ValidationError(f"{s_name}: task_controls {controls!r} must "
+                                  f"name tasks of one VCPU in {sid!r}")
+    pairs, channels = {}, {}
+    for ch_name, ch in _entries("channel", spec, "channels", CHANNEL):
+        _add(channels, ch["id"], ch_name, "channel")
         pair = frozenset((ch["a"], ch["b"]))
+        if len(pair) < 2 or not pair <= ids.keys():
+            raise ValidationError(f"{ch_name}: a and b must name two sandboxes")
         if pair in pairs:
-            raise ValidationError(f"channels {pairs[pair]!r} and {ch.get('id')!r} "
-                                  f"join the same sandbox pair")
-        pairs[pair] = ch.get("id")
-        _exchange_profile(ch)
-    for mig in raw.get("migrations", []):
-        space, src = mig.get("space"), mig.get("from")
-        if space not in spaces or spaces[space] != src:
-            raise ValidationError(f"migration: no address space {space!r} in {src!r}")
-        if mig.get("to") not in ids or mig["to"] == src:
-            raise ValidationError(f"migration: 'to' must name another sandbox than "
-                                  f"{src!r}, got {mig.get('to')!r}")
-        if (mode := mig.get("mode", "thread")) not in MIGRATION_MODES:
-            raise ValidationError(f"migration: mode {mode!r} is not one of "
-                                  f"{MIGRATION_MODES}")
-        sc.ticks_of(mig, "at_s", 5, least=0)
-
-
-def _exchange_profile(ch: dict) -> ExchangeProfile:
-    """A channel's profile: each message size times its per-byte cost is
-    converted to a work, which must be a whole number of ticks."""
-    try:
-        works = []
-        for size_key, cost_key in (("n_bytes", "delta_s"), ("m_bytes", "delta_d")):
-            size, cost = ch.get(size_key, 2048), ch.get(cost_key, "1/8")
-            if type(size) is not int or type(cost) is bool:
-                raise ValueError(f"{size_key} must be an int and {cost_key} a "
-                                 f"number, got {size!r} and {cost!r}")
-            cost = Fraction(cost)
-            if size < 0 or cost < 0 or (size * cost).denominator != 1:
-                raise ValueError(f"{size_key} * {cost_key} = {size} * {cost} is "
-                                 f"not a whole, non-negative number of ticks")
-            works.append(int(size * cost))
-        return ExchangeProfile(*works, k=ch.get("k_us", 0),
-                               poll_cost=ch.get("poll_cost_us", 10),
-                               poll_interval=ch.get("poll_interval_us", 500))
-    except (TypeError, ValueError, ArithmeticError) as exc:
-        raise ValidationError(f"channel {ch.get('id')!r}: {exc}") from exc
+            raise ValidationError(f"channels {pairs[pair]!r} and {ch['id']!r} "
+                                  f"join one sandbox pair")
+        pairs[pair] = ch["id"]
+        works = [ch["n_bytes"] * ch["delta_s"], ch["m_bytes"] * ch["delta_d"]]
+        if any(w.denominator != 1 for w in works):
+            raise ValidationError(f"{ch_name}: works {works} are not whole ticks")
+        ch["profile"] = _call(ch_name, ExchangeProfile, *map(int, works),
+                              ch["k_us"], ch["poll_cost_us"], ch["poll_interval_us"])
+    for cid, [(_, _, name), *_] in ends.items():
+        if cid not in channels:
+            raise ValidationError(f"task {name!r}: channel {cid!r} names no channel")
+    for ch in spec["channels"]:
+        found = sorted(ends.pop(ch["id"], []))
+        if [end[:2] for end in found] != [("pingpong_recv", ch["b"]),
+                                          ("pingpong_send", ch["a"])]:
+            raise ValidationError(f"{channels[ch['id']]}: needs one sender and one "
+                                  f"receiver, in {ch['a']!r} and {ch['b']!r}")
+        ch["receiver"], ch["sender"] = (end[2] for end in found)
+    for m_name, m in _entries("migration", spec, "migrations", MIGRATION):
+        if m["space"] not in spaces or spaces[m["space"]][0] != m["from"]:
+            raise ValidationError(f"{m_name}: no address space {m['space']!r} "
+                                  f"in {m['from']!r}")
+        if m["to"] not in ids or m["to"] == m["from"]:
+            raise ValidationError(f"{m_name}: 'to' must name another sandbox "
+                                  f"than {m['from']!r}, got {m['to']!r}")
+        if m["mode"] == "thread" and m["to"] not in threads:
+            raise ValidationError(f"{m_name}: {m['to']!r} has no migration thread")
+    return Scenario(spec, warnings, spec.pop("run_until_s"),
+                    spec.pop("sample_period_s"))
 
 
 @dataclass
@@ -229,99 +283,37 @@ class BuiltScenario:
 
 
 def build(sc: Scenario) -> BuiltScenario:
-    """Instantiate a validated scenario into a simulator ready to run."""
-    raw = sc.raw
-    cost = CostModel(**raw.get("cost_model", {}))
-    sim = Simulator(cost)
+    """Instantiate a loaded scenario into a simulator ready to run."""
+    spec = sc.spec
+    sim = Simulator(spec["cost_model"])
     engine = MigrationEngine(sim)
     out = BuiltScenario(sim, engine, sc)
-
-    for sb_raw in raw["sandboxes"]:
-        clock_raw = sb_raw.get("clock", {})
-        clock = SandboxClock(clock_raw.get("offset_us", 0),
-                             clock_raw.get("drift_ppm", 0))
-        sb = Sandbox(sim, sb_raw["id"], clock, sb_raw.get("admission", "ll"))
-        for v_raw in sb_raw.get("vcpus", []):
-            v = sb.add_vcpu(v_raw["id"], v_raw["c_us"], v_raw["t_us"],
-                            v_raw.get("kind", "main"),
-                            v_raw.get("highest_priority",
-                                      v_raw.get("role") == "migration"))
-            out.vcpus[v.id] = v
-            if v_raw.get("role") == "migration":
-                engine.create_migration_thread(sb, v)
-
-    for ch_raw in raw.get("channels", []):
-        ch = establish_channel(sim, ch_raw["a"], ch_raw["b"],
-                               _exchange_profile(ch_raw))
-        out.channels[ch_raw.get("id", ch.id)] = ch
-
-    endpoint = {}
-    for sb_raw in raw["sandboxes"]:
-        sb = sim.sandbox(sb_raw["id"])
-        for v_raw in sb_raw.get("vcpus", []):
-            task_raw = v_raw.get("task")
-            space_raw = v_raw.get("address_space")
-            task = None
-            if task_raw:
-                name = task_raw.get("name", v_raw["id"])
-                task = sb.add_task(name, out.vcpus[v_raw["id"]],
-                                   program=_program(task_raw, out))
-                out.tasks[name] = task
-                if task_raw["type"] in ("pingpong_send", "pingpong_recv"):
-                    side = "a" if task_raw["type"] == "pingpong_send" else "b"
-                    endpoint.setdefault(task_raw["channel"], {})[side] = task
-            if space_raw:
-                controls = space_raw.get("task_controls")
-                if controls is None:
-                    controls = [task.id] if task else []
-                sb.spaces[space_raw["id"]] = AddressSpace(
-                    space_raw["id"],
-                    total_pages=space_raw.get("total_pages", 0),
-                    pde_count=space_raw.get("pde_count", 1024),
-                    pages_per_pde=space_raw.get("pages_per_pde", 1024),
-                    task_controls=controls,
-                    tss_limit=space_raw.get("tss_limit", 8))
-
-    for cid, ends in endpoint.items():
-        if set(ends) != {"a", "b"}:
-            raise ValidationError(f"channel {cid!r}: needs one sender and one receiver")
-        out.channels[cid].bind(ends["a"], ends["b"])
-
-    for mig_raw in raw.get("migrations", []):
-        out.triggers.append(MigrationTrigger(out, mig_raw))
-
+    for sb_spec in spec["sandboxes"]:
+        sb = Sandbox(sim, sb_spec["id"], sb_spec["clock"], sb_spec["admission"])
+        for v in sb_spec["vcpus"]:
+            vcpu = out.vcpus[v["id"]] = sb.add_vcpu(
+                v["id"], v["c_us"], v["t_us"], v["kind"], v["highest_priority"])
+            if v["role"] == "migration":
+                engine.create_migration_thread(sb, vcpu)
+    for ch in spec["channels"]:
+        out.channels[ch["id"]] = establish_channel(sim, ch["a"], ch["b"], ch["profile"])
+    for sb_spec in spec["sandboxes"]:
+        sb = sim.sandbox(sb_spec["id"])
+        for v in sb_spec["vcpus"]:
+            if "task" in v:
+                task = v["task"]
+                ch = out.channels[task["channel"]] if "channel" in task else None
+                out.tasks[task["name"]] = sb.add_task(
+                    task["name"], out.vcpus[v["id"]], program=_program(task, ch))
+            if "address_space" in v:
+                sb.spaces[v["address_space"].id] = v["address_space"]
+    for ch in spec["channels"]:
+        out.channels[ch["id"]].bind(out.tasks[ch["sender"]], out.tasks[ch["receiver"]])
+    for mig in spec["migrations"]:
+        out.triggers.append(MigrationTrigger(out, mig))
     for sb in sim.sandboxes.values():
         sb.touch()
     return out
-
-
-def _program(task_raw: dict, out: BuiltScenario):
-    kind = task_raw["type"]
-    if kind == "busy":
-        return workloads.busy_loop(task_raw.get("iteration_cost_us", 10_000))
-    if kind == "sleeper":
-        return workloads.sleeper()
-    if kind == "logger":
-        return workloads.periodic_logger(task_raw.get("period_us", 1_000_000),
-                                         task_raw.get("work_us", 500))
-    if kind == "io_cycle":
-        return workloads.io_cycle(task_raw.get("compute_us", 1000),
-                                  task_raw.get("io_latency_us", 5000),
-                                  task_raw.get("io_work_us", 100))
-    if kind == "pingpong_send":
-        ch = out.channels[task_raw["channel"]]
-        return workloads.pingpong_sender(
-            ch, exchanges=task_raw.get("exchanges"),
-            busy_wait=task_raw.get("busy_wait_us", 0),
-            initial_sleep=task_raw.get("initial_sleep_us", 0),
-            pace=task_raw.get("pace_us"),
-            wait=task_raw.get("wait", "busy"))
-    if kind == "pingpong_recv":
-        ch = out.channels[task_raw["channel"]]
-        return workloads.pingpong_receiver(
-            ch, initial_sleep=task_raw.get("initial_sleep_us", 0),
-            wait=task_raw.get("wait", "busy"))
-    raise ValidationError(f"unknown task type {kind!r}")
 
 
 class MigrationTrigger:
@@ -332,44 +324,37 @@ class MigrationTrigger:
 
     CHECK_STEP = 100
 
-    def __init__(self, built: BuiltScenario, raw: dict):
+    def __init__(self, built: BuiltScenario, spec: dict):
         self.built = built
-        self.raw = raw
+        self.spec = spec
         self.job = None
         self.seen_eligible = False
-        at = built.scenario.ticks_of(raw, "at_s", 5, least=0)
-        built.sim.post_event(at, "mig-trigger", raw["from"], None,
+        built.sim.post_event(spec["at_s"], "mig-trigger", spec["from"], None,
                              lambda ev: self._check())
-
-    def _vcpu(self):
-        src = self.built.sim.sandbox(self.raw["from"])
-        space = src.spaces.get(self.raw["space"])
-        if space is None:  # already migrated
-            return None
-        return src.tasks[space.task_controls[0]].vcpu
 
     def _check(self):
         sim = self.built.sim
-        vcpu = self._vcpu()
-        if vcpu is None:
+        src = sim.sandbox(self.spec["from"])
+        space = src.spaces.get(self.spec["space"])
+        if space is None:  # already migrated
             return
-        if vcpu.eligible():
+        if src.tasks[space.task_controls[0]].vcpu.eligible():
             self.seen_eligible = True
         elif self.seen_eligible:
-            delay = self.raw.get("delay_after_depletion_us", 200)
-            sim.post_event(sim.now + delay, "mig-trigger", self.raw["from"],
+            delay = self.spec["delay_after_depletion_us"]
+            sim.post_event(sim.now + delay, "mig-trigger", self.spec["from"],
                            None, lambda ev: self._fire())
             return
         sim.post_event(sim.now + self.CHECK_STEP, "mig-trigger",
-                       self.raw["from"], None, lambda ev: self._check())
+                       self.spec["from"], None, lambda ev: self._check())
 
     def _fire(self):
         try:
             self.job = self.built.engine.request_migration(
-                self.raw["from"], self.raw["to"], self.raw["space"],
-                mode=self.raw.get("mode", "thread"),
-                pde_extra_delay=self.raw.get("pde_extra_delay_us", 0))
-        except (NotEligible, DestinationBusy):
+                self.spec["from"], self.spec["to"], self.spec["space"],
+                mode=self.spec["mode"],
+                pde_extra_delay=self.spec["pde_extra_delay_us"])
+        except (NotEligible, DestinationBusy, BlockedOnIo):
             self.seen_eligible = False
             self._check()
 

@@ -9,12 +9,12 @@ from mqsim.errors import ValidationError
 WAIT_MODES = ("busy", "sleep")  # how a ping-pong task waits for a message
 
 
-def busy_loop(iteration_cost: int):
+def busy_loop(iteration_cost: int = 10_000):
     """CPU-bound loop counting completed fixed-cost iterations (the frame
     processing stand-in)."""
-    if iteration_cost <= 0:
-        raise ValueError("iteration_cost must be positive: a free iteration "
-                         "never lets simulated time pass")
+    if iteration_cost < 1:
+        raise ValidationError("iteration_cost must be >= 1: a free iteration "
+                              "never lets simulated time pass")
 
     def program(api):
         while True:
@@ -33,6 +33,9 @@ def sleeper():
 
 def periodic_logger(period: int = 1_000_000, work: int = 500):
     """Wakes at each period boundary, does a little bookkeeping, sleeps."""
+    if period < 1:
+        raise ValidationError(f"period must be >= 1, got {period!r}")
+
     def program(api):
         k = 1
         while True:
@@ -43,12 +46,16 @@ def periodic_logger(period: int = 1_000_000, work: int = 500):
     return program
 
 
-def io_cycle(compute_cost: int, io_latency: int, io_completion_work: int):
+def io_cycle(compute: int = 1000, io_latency: int = 5000, io_work: int = 100):
     """Compute, then block on an I/O request handled by the sandbox's I/O VCPU."""
+    if compute + io_latency < 1:
+        raise ValidationError("compute + io_latency must be >= 1: a free cycle "
+                              "never lets simulated time pass")
+
     def program(api):
         while True:
-            yield api.compute(compute_cost)
-            yield api.block_io(io_latency, io_completion_work)
+            yield api.compute(compute)
+            yield api.block_io(io_latency, io_work)
             api.task.count("io_cycles")
     return program
 
@@ -80,6 +87,8 @@ def pingpong_sender(channel, *, exchanges: int | None = None, busy_wait: int = 0
     times are recorded in the sender's local clock.
     """
     _check_wait(wait)
+    if pace is not None and pace < 1:
+        raise ValidationError(f"pace must be >= 1, got {pace!r}")
 
     def program(api):
         if initial_sleep:

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from mqsim import trace as trace_module
 from mqsim.clock import SandboxClock
 from mqsim.core import CostModel, Simulator
-from mqsim.errors import PastTimestamp, RowsNotKept, SelfIpi, UnknownSandbox
+from mqsim.errors import (PastTimestamp, RowsNotKept, SelfIpi, UnknownSandbox,
+                          ValidationError)
 from mqsim.sched import Sandbox
 from mqsim.trace import HASH_BLOCK_ROWS, SimTrace
 from mqsim.workloads import busy_loop
@@ -137,8 +138,22 @@ class TestClock:
             assert c.to_local(t - 1) < x
 
     def test_drift_floor_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             SandboxClock(drift_ppm=-1_000_000)
+
+    @pytest.mark.parametrize("kwargs", [{"offset": 1.5}, {"offset": True},
+                                        {"drift_ppm": "x"}, {"drift_ppm": 0.5}])
+    def test_non_int_offset_or_drift_rejected(self, kwargs):
+        with pytest.raises(ValidationError):
+            SandboxClock(**kwargs)
+
+
+@pytest.mark.parametrize("costs", [{"ipi_cost": -1},
+                                   {"page_copy_nocache": 1, "page_copy_cache": 2}],
+                         ids=["negative", "no-cache-cheaper"])
+def test_cost_model_refusals_are_typed(costs):
+    with pytest.raises(ValidationError):
+        CostModel(**costs)
 
 
 class TestTsc:

@@ -66,8 +66,26 @@ class TestEstablish:
             ch.take(intruder)
 
     def test_free_exchange_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             ExchangeProfile(request_work=0, response_work=0, k=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"request_work": -1, "response_work": 5}, {"response_work": -1},
+        {"k": -1}, {"poll_cost": -1}, {"poll_interval": -1},
+    ])
+    def test_negative_work_or_poll_rejected(self, kwargs):
+        with pytest.raises(ValidationError, match=">= 0"):
+            ExchangeProfile(**kwargs)
+
+    def test_free_poll_rejected(self):
+        """Two sleep-polling tasks on a free poll would loop at one instant."""
+        with pytest.raises(ValidationError, match="poll must take time"):
+            ExchangeProfile(poll_cost=0, poll_interval=0)
+
+    def test_zero_pace_rejected(self):
+        _, ch, _, _ = pair(idle=True)
+        with pytest.raises(ValidationError, match="pace"):
+            pingpong_sender(ch, pace=0)
 
     @pytest.mark.parametrize("side", [pingpong_sender, pingpong_receiver])
     def test_unknown_wait_rejected_before_any_step(self, side):

@@ -1,10 +1,16 @@
 """Scenario loading, validation, and the built-in two-sandbox setup."""
 
+import contextlib
+import itertools
 import json
+import re
+import signal
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from mqsim.errors import ParseError, ValidationError
+from mqsim.errors import MqsimError, ParseError, ValidationError
+from mqsim.metrics import budget_law_violations, finish_run, replenishment_conserved
 from mqsim.scenario import build, builtin_scenario, load_scenario
 
 
@@ -12,13 +18,17 @@ def table1():
     return builtin_scenario("table1")
 
 
+def vcpu(raw, sandbox: int, index: int) -> dict:
+    return raw["sandboxes"][sandbox]["vcpus"][index]
+
+
 class TestLoad:
     def test_builtin_resolves(self):
         raw = builtin_scenario("table1.json")
         sc = load_scenario(raw)
-        assert len(sc.raw["sandboxes"]) == 2
-        assert len(sc.raw["sandboxes"][0]["vcpus"]) == 5
-        assert len(sc.raw["sandboxes"][1]["vcpus"]) == 4
+        assert len(sc.spec["sandboxes"]) == 2
+        assert len(sc.spec["sandboxes"][0]["vcpus"]) == 5
+        assert len(sc.spec["sandboxes"][1]["vcpus"]) == 4
 
     def test_unknown_builtin(self):
         with pytest.raises(ParseError):
@@ -113,15 +123,6 @@ class TestValidation:
         sc = load_scenario(raw)
         assert any("cost_model" in w for w in sc.warnings)
 
-    def test_tick_size_configurable(self):
-        raw = table1()
-        raw["tick_ns"] = 2000  # 2 us ticks halve the tick counts per second
-        sc = load_scenario(raw)
-        assert sc.run_until_us == 12 * 500_000
-        raw["tick_ns"] = 0
-        with pytest.raises(ValidationError, match="tick_ns"):
-            load_scenario(raw)
-
     def test_duplicate_task_names(self):
         raw = table1()
         raw["sandboxes"][1]["vcpus"][2]["task"]["name"] = "canny"
@@ -184,6 +185,182 @@ class TestValidation:
             load_scenario(raw)
 
 
+# table1 mutations that once raised an untyped exception, loaded silently,
+# or failed only at build or during the run, and what the error must name
+GAPS = {
+    "c_us-string": (lambda r: vcpu(r, 0, 0).update(c_us="20000"),
+                    "vcpu 'shell1': c_us '20000'"),
+    "drift-string": (lambda r: r["sandboxes"][0]["clock"].update(drift_ppm="x"),
+                     "sandbox 'sb1': clock: drift_ppm 'x'"),
+    "drift-floor": (lambda r: r["sandboxes"][1]["clock"].update(drift_ppm=-10**6),
+                    "sandbox 'sb2': clock: "),
+    "total_pages-string": (
+        lambda r: vcpu(r, 0, 3)["address_space"].update(total_pages="370"),
+        "vcpu 'cannyv': address_space: total_pages '370'"),
+    "sandboxes-object": (lambda r: r.update(sandboxes={"sb1": {}}),
+                         "scenario: sandboxes {"),
+    "vcpu-id-missing": (lambda r: vcpu(r, 0, 0).pop("id"),
+                        "sandbox 'sb1': vcpu 0: missing key 'id'"),
+    "c_us-fraction": (lambda r: vcpu(r, 0, 0).update(c_us=20000.5),
+                      "vcpu 'shell1': c_us 20000.5"),
+    "c_us-bool": (lambda r: vcpu(r, 0, 0).update(c_us=True),
+                  "vcpu 'shell1': c_us True"),
+    "highest_priority-string": (
+        lambda r: vcpu(r, 0, 1).update(highest_priority="yes"),
+        "vcpu 'mig1': highest_priority 'yes'"),
+    "role-unknown": (lambda r: vcpu(r, 0, 1).update(role="migrator"),
+                     "vcpu 'mig1': role 'migrator'"),
+    "run_untill_s": (lambda r: r.update(run_untill_s=12),
+                     "scenario: unknown key 'run_untill_s'"),
+    "c_uss": (lambda r: vcpu(r, 0, 0).update(c_uss=20000),
+              "vcpu 'shell1': unknown key 'c_uss'"),
+    "tick_ns": (lambda r: r.update(tick_ns=2000), "scenario: unknown key 'tick_ns'"),
+    "task-type-unknown": (lambda r: vcpu(r, 0, 0)["task"].update(type="bogus"),
+                          "vcpu 'shell1': task: type 'bogus'"),
+    "task-channel-unknown": (lambda r: vcpu(r, 0, 2)["task"].update(channel="aux"),
+                             "task 'comms1': channel 'aux' names no channel"),
+    "second-sender": (lambda r: vcpu(r, 1, 2)["task"].update(type="pingpong_send"),
+                      "channel 'main': needs one sender and one receiver"),
+    "k_us-negative": (lambda r: r["channels"][0].update(k_us=-5),
+                      "channel 'main': k_us -5"),
+    "free-poll": (lambda r: (r["channels"][0].update(poll_cost_us=0,
+                                                     poll_interval_us=0),
+                             vcpu(r, 0, 2)["task"].update(wait="sleep"),
+                             vcpu(r, 1, 2)["task"].update(wait="sleep")),
+                  "channel 'main': "),
+    "pace_us-zero": (lambda r: vcpu(r, 0, 2)["task"].update(pace_us=0),
+                     "vcpu 'comms1': task: pace_us 0"),
+    "iteration_cost_us-zero": (
+        lambda r: vcpu(r, 0, 3)["task"].update(iteration_cost_us=0),
+        "vcpu 'cannyv': task: iteration_cost_us 0"),
+    "io_cycle-free": (lambda r: vcpu(r, 0, 0).update(task={
+        "type": "io_cycle", "compute_us": 0, "io_latency_us": 0}),
+        "task 'shell1': compute + io_latency"),
+}
+
+
+class TestGaps:
+    @pytest.mark.parametrize("name", list(GAPS))
+    def test_rejected_at_load_naming_object_and_key(self, name):
+        mutate, names = GAPS[name]
+        raw = table1()
+        mutate(raw)
+        with pytest.raises(ValidationError, match=re.escape(names)):
+            load_scenario(raw)
+
+    def test_thread_migration_needs_a_destination_thread(self):
+        raw = table1()
+        del raw["sandboxes"][1]["vcpus"][1]  # mig2
+        with pytest.raises(ValidationError,
+                           match="migration 0: 'sb2' has no migration thread"):
+            load_scenario(raw)
+
+    def test_address_space_needs_a_task(self):
+        raw = table1()
+        vcpu(raw, 0, 1)["address_space"] = vcpu(raw, 0, 3).pop("address_space")
+        with pytest.raises(ValidationError,
+                           match=re.escape("vcpu 'mig1': address_space: task_controls []")):
+            load_scenario(raw)
+
+    def test_task_controls_name_existing_tasks(self):
+        raw = table1()
+        vcpu(raw, 0, 3)["address_space"]["task_controls"] = ["ghost"]
+        with pytest.raises(ValidationError, match=re.escape("task_controls ['ghost']")):
+            load_scenario(raw)
+
+
+def _paths(node, path=()):
+    """(path, value) for every key and list item below ``node``."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, path + (key,))
+
+
+def _mutations():
+    """(path, kind) for every way to mutate table1 at one place."""
+    yield (), "unknown-key"
+    for path, value in _paths(table1()):
+        if isinstance(path[-1], str):
+            yield path, "drop"
+        if isinstance(value, dict):
+            yield path, "unknown-key"
+        yield path, "type"
+        if type(value) in (int, float):
+            yield path, "range"
+        if type(value) is str:
+            yield path, "enum"
+
+
+MUTATIONS = list(_mutations())
+OTHER_TYPES = ["x", 7, 0.5, True, None, [], {}]
+OUT_OF_RANGE = [-1, 0, -1_000_000, 10**12]
+EVENT_CAP = 100_000  # a 1 s table1 run dispatches about 450 events
+
+
+@contextlib.contextmanager
+def wall_limit(seconds: float):
+    """Fail instead of hanging when one event's dispatch never returns, as a
+    loop of free steps inside a single event would."""
+    def expire(signum, frame):
+        raise AssertionError(f"livelock: a 1 s run took over {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(st.sampled_from(MUTATIONS), st.sampled_from(OTHER_TYPES),
+       st.sampled_from(OUT_OF_RANGE))
+def test_mutated_table1_fails_at_load_or_runs(mutation, other, number):
+    """One mutation of table1 either fails to load with a typed error, or
+    the scenario builds and runs 1 s without livelock, conserving every
+    VCPU's replenishments and, off drifting clocks, its budget law."""
+    raw = table1()
+    path, kind = mutation
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1] if path else None
+    if kind == "drop":
+        del parent[key]
+    elif kind == "unknown-key":
+        (parent[key] if path else raw)["bogus_key"] = 1
+    elif kind == "type":
+        parent[key] = other if type(other) is not type(parent[key]) else "x"
+    elif kind == "range":
+        parent[key] = number
+    else:
+        parent[key] = "bogus"
+    try:
+        sc = load_scenario(raw)
+    except MqsimError:
+        event("rejected at load")
+        return
+    assert kind != "unknown-key", "an unknown key was accepted"
+    event("ran")
+    built = build(sc)
+    dispatched = itertools.count(1)
+    with wall_limit(10):
+        built.sim.run_until(1_000_000, stop=lambda: next(dispatched) > EVENT_CAP)
+    assert built.sim.now == 1_000_000, "livelock: the event cap stopped the run"
+    finish_run(built.sim)
+    moved = {t.job.vcpu.id: t.job.source for t in built.triggers
+             if t.job is not None and t.job.state == "completed"}
+    for sb in built.sim.sandboxes.values():
+        for v in sb.vcpus.values():
+            assert replenishment_conserved(v), v.id
+            drifts = {sb.clock.drift_ppm}
+            if v.id in moved:
+                drifts.add(built.sim.sandbox(moved[v.id]).clock.drift_ppm)
+            if drifts == {0}:
+                assert budget_law_violations(v) == [], v.id
+
+
 class TestBuild:
     def test_wiring(self):
         built = build(load_scenario(table1()))
@@ -214,13 +391,22 @@ class TestBuild:
         b.sim.run_until(2_000_000)
         assert a.sim.trace.hash() == b.sim.trace.hash()
 
-    def test_migration_time_in_scenario_ticks(self):
-        """``at_s`` counts scenario seconds, as ``run_until_s`` does: with
-        2 us ticks the request lands after 2.5M ticks (5 s), at the first
-        depletion of the migrated VCPU plus the 200-tick delay."""
+    def test_io_blocked_space_is_retried(self):
+        """A request refused because a task of the space waits on I/O is
+        retried after the next depletion, as a refused eligible one is,
+        instead of raising out of the run."""
         raw = table1()
-        raw["tick_ns"] = 2000
+        vcpu(raw, 0, 3)["task"] = {"type": "io_cycle", "name": "canny",
+                                   "compute_us": 100, "io_latency_us": 50_000}
         built = build(load_scenario(raw))
-        built.sim.run_until(3_000_000)
+        built.sim.run_until(6_000_000)
+        assert built.triggers[0].job is None
+
+    def test_migration_time_in_scenario_ticks(self):
+        """``at_s`` counts seconds of 1 us ticks, as ``run_until_s`` does:
+        the request lands after 5M ticks (5 s), at the first depletion of
+        the migrated VCPU plus the 200-tick delay."""
+        built = build(load_scenario(table1()))
+        built.sim.run_until(6_000_000)
         requests = [r.t for r in built.sim.trace.rows if r.kind == "mig_request"]
-        assert requests == [2_530_200]
+        assert requests == [5_030_200]

@@ -11,7 +11,7 @@ from mqsim.metrics import (IntervalSet, budget_law_violations, finish_run,
                            replenishment_conserved)
 from mqsim.sched import (REPL_QUEUE_CAP, Sandbox, Vcpu, admit,
                          inherit_priority)
-from mqsim.workloads import busy_loop, io_cycle
+from mqsim.workloads import busy_loop, io_cycle, periodic_logger
 from trace_corpus import CORPUS_SEEDS, run_setup
 
 
@@ -48,8 +48,15 @@ class TestVcpuBasics:
             sb.add_vcpu("bad", 10, 20, kind="Main")
 
     def test_free_busy_loop_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             busy_loop(0)
+
+    @pytest.mark.parametrize("make", [lambda: periodic_logger(period=0),
+                                      lambda: io_cycle(0, 0, 100)],
+                             ids=["logger-period", "io-cycle"])
+    def test_free_cycle_rejected(self, make):
+        with pytest.raises(ValidationError, match=">= 1"):
+            make()
 
     def test_rate_monotonic_pick(self):
         sim, sb = mini()
