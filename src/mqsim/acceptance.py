@@ -23,6 +23,8 @@ from mqsim.bounds import (CommBoundInput, brute_force_worst_rtt,
                           comm_breakdown, migration_bound, observation_delay,
                           rtt_bound, rtt_segments)
 from mqsim.bounds.oracle import worst_point
+from mqsim.experiments import (FIG12_CASES, FIG12_REQUEST_WORK, FIG12_SENDER,
+                               experiment_fig12, fig12_worst_exchange, run_table1)
 from mqsim.metrics import (budget_law_violations, compare_series,
                            replenishment_conserved)
 
@@ -47,7 +49,6 @@ class Runs:
         """``experiments.run_table1(**kwargs)``, run once per argument set."""
         key = ("table1",) + tuple(sorted(kwargs.items()))
         if key not in self._done:
-            from mqsim.experiments import run_table1
             self._done[key] = run_table1(**kwargs)
         return self._done[key]
 
@@ -55,7 +56,6 @@ class Runs:
         """``experiments.experiment_fig12(exchanges=, grid=)``, run once."""
         key = ("fig12", exchanges, grid)
         if key not in self._done:
-            from mqsim.experiments import experiment_fig12
             self._done[key] = experiment_fig12(exchanges=exchanges, grid=grid)
         return self._done[key]
 
@@ -143,8 +143,6 @@ def _fig12_overshoot(case: str, ex: dict) -> str:
     """Segment of the simulator's worst exchange ``ex`` (see
     ``exchange_segments``) that the sound bound does not cover, against the
     model for that exchange's own send offset and completion instant."""
-    from mqsim.experiments import (FIG12_CASES, FIG12_REQUEST_WORK,
-                                   FIG12_SENDER)
     c_s, t_s = FIG12_SENDER
     cfg = FIG12_CASES[case]
     inp = CommBoundInput(c_s, t_s, *cfg["receiver"], FIG12_REQUEST_WORK,
@@ -159,7 +157,6 @@ def _fig12_overshoot(case: str, ex: dict) -> str:
 
 
 def crit_fig12(runs, fast=False):
-    from mqsim.experiments import fig12_worst_exchange
     grid = 10 if fast else 20
     rows = runs.fig12(2000 if fast else 10_000, grid)["rows"]
     sound = all(r["within_bound"] for r in rows)
@@ -285,7 +282,6 @@ def crit_sporadic_law(runs, fast=False):
 
 
 def crit_determinism(runs, fast=False):
-    from mqsim.experiments import run_table1
     first = runs.table1(migrate=True)
     second = run_table1(migrate=True)
     h1, h2 = first.sim.trace.hash(), second.sim.trace.hash()

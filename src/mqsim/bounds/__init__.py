@@ -5,10 +5,8 @@ adjustment, and a brute-force sweep oracle."""
 from mqsim.bounds.formulas import (
     CommBoundBreakdown,
     CommBoundInput,
-    MigrationCriterionInput,
     RttBound,
     RttSegments,
-    check_migration_criterion,
     clock_adjustment,
     comm_breakdown,
     migration_bound,
@@ -22,11 +20,9 @@ from mqsim.bounds.oracle import brute_force_worst_rtt, sweep_backend_name
 __all__ = [
     "CommBoundBreakdown",
     "CommBoundInput",
-    "MigrationCriterionInput",
     "RttBound",
     "RttSegments",
     "brute_force_worst_rtt",
-    "check_migration_criterion",
     "clock_adjustment",
     "comm_breakdown",
     "migration_bound",

@@ -64,6 +64,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from mqsim.errors import DegenerateInput
+
 Rational = Union[int, Fraction]
 
 
@@ -98,32 +100,13 @@ def migration_bound(delta_s: Rational, c_m: Rational, t_m: Rational) -> Rational
         floor(delta_s / c_m) * t_m + delta_s mod c_m
 
     Exact on rationals; right-discontinuous at multiples of ``c_m``.
+    Raises ``ValueError`` for a negative cost or a non-positive budget or
+    period.
     """
     delta_s, c_m, t_m = Fraction(delta_s), Fraction(c_m), Fraction(t_m)
+    if delta_s < 0 or c_m <= 0 or t_m <= 0:
+        raise ValueError("migration bound needs delta_s >= 0, C_m > 0 and T_m > 0")
     return (delta_s // c_m) * t_m + delta_s % c_m
-
-
-@dataclass(frozen=True)
-class MigrationCriterionInput:
-    """Inputs of the migration-eligibility inequality."""
-    e_s: Fraction          # relative time of the next replenishment or wakeup
-    delta_s: Fraction      # total copy cost of the address space
-    c_m: Fraction          # migration-thread VCPU budget
-    t_m: Fraction          # migration-thread VCPU period
-
-    def __post_init__(self):
-        for name in ("e_s", "delta_s", "c_m", "t_m"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
-def check_migration_criterion(inp: MigrationCriterionInput) -> bool:
-    """True when the migrating VCPU's utilization is unaffected by migration."""
-    return inp.e_s >= migration_bound(inp.delta_s, inp.c_m, inp.t_m)
-
-
-from mqsim.errors import DegenerateInput  # noqa: E402  (kept near its only users)
 
 
 @dataclass(frozen=True)

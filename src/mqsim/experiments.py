@@ -25,8 +25,8 @@ from fractions import Fraction
 from mqsim.bounds import CommBoundInput, brute_force_worst_rtt, comm_breakdown, \
     migration_bound, rtt_bound
 from mqsim.core import CostModel, Simulator
-from mqsim.ipc import ExchangeProfile, establish_channel, run_pingpong
-from mqsim.metrics import Sampler, count_deadline_misses, finish_run
+from mqsim.ipc import ExchangeProfile, establish_channel, rtt_samples_csv, run_pingpong
+from mqsim.metrics import MetricSeries, Sampler, count_deadline_misses, finish_run
 from mqsim.scenario import build, builtin_scenario, load_scenario
 from mqsim.sched import Sandbox
 from mqsim.workloads import pingpong_receiver, pingpong_sender
@@ -104,7 +104,6 @@ def run_table1(migrate: bool = True, mode: str = "thread", pde_extra: int = 0,
     mig2 = built.vcpus["mig2"]
     util = [(t, v * 1000 * mig2.period // (mig2.capacity * SECOND))
             for t, v in sampler.series["mig_thread_cycles.sb2"].samples]
-    from mqsim.metrics import MetricSeries
     sampler.series["mig_thread_util_permille.sb2"] = MetricSeries(
         "mig_thread_util_permille.sb2", util)
     job = built.triggers[0].job if built.triggers else None
@@ -309,7 +308,6 @@ def experiment_fig12(out_dir: str | None = None,
         _put(out_dir, "fig12.csv", "\n".join(fig12_csv_lines(rows)) + "\n")
         _put(out_dir, "fig12_summary.json", json.dumps(artifact, indent=2, sort_keys=True))
         # per-case round-trip samples from the worst sweep point
-        from mqsim.ipc import rtt_samples_csv
         for r in rows:
             c_d, t_d = FIG12_CASES[r["case"]]["receiver"]
             samples = []

@@ -40,6 +40,10 @@ class AddressSpace:
     def __post_init__(self):
         if not (0 < self.pde_count <= 1024):
             raise ValidationError(f"{self.id}: pde_count must be in 1..1024")
+        if self.total_pages < 0 or self.tss_limit < 0:
+            raise ValidationError(f"{self.id}: total_pages and tss_limit must be >= 0")
+        if self.pages_per_pde < 1:
+            raise ValidationError(f"{self.id}: pages_per_pde must be >= 1")
         if self.total_pages * PAGE_BYTES > MAX_SPACE_BYTES:
             raise ValidationError(f"{self.id}: address space exceeds 4 MB")
         if len(self.task_controls) > self.tss_limit:
@@ -59,7 +63,7 @@ class MigrationJob:
     mode: str
     pde_extra_delay: int
     engine: object
-    state: str = "requested"
+    state: str = "requested"  # at-destination, copying, completed, rejected
     tsc_s: int = 0
     tsc_d: int = 0
     e_s: int | None = None
@@ -108,9 +112,28 @@ class MigrationEngine:
         return task
 
     def _thread_program(self, api):
-        """The migration thread's steps, each taken from ``next_step``."""
+        """The migration thread: park until a job is handed over, pay the
+        admission cost and run the admission test, then copy the job's
+        chunks as monitor-mode work.  ``on_chunk_done`` is the preemption
+        point after each chunk and finalizes the job after the last one."""
+        sb = api.task.sandbox
+        vcpu = api.task.vcpu
+        cost = self.sim.cost
         while True:
-            yield self.next_step(api.task)
+            job = self.jobs.get(sb.id)
+            if job is None or job.state != "at-destination":
+                yield Park()
+                continue
+            yield Compute(cost.admission_cost)
+            if not self._admitted(job, sb):
+                continue
+            self.sim.trace.add(self.sim.now, sb.id, "mig_admit", job.space_id,
+                               f"util_after={float(job.admission.utilization_after):.3f}")
+            for _, work in job.chunks:
+                extra = cost.resume_overhead if job.needs_resume_overhead else 0
+                job.needs_resume_overhead = False
+                vcpu.set_dispatch_floor(1)
+                yield MonitorChunk(job, work + extra)
 
     def has_thread(self, sandbox_id: str) -> bool:
         return sandbox_id in self.threads
@@ -209,11 +232,8 @@ class MigrationEngine:
     def _after_tsc_read(self, dst, job: MigrationJob):
         job.tsc_d = self.sim.read_tsc(dst.id)
         if job.mode == "ipi-handler":
-            job.admission = dst.admit(job.vcpu.capacity, job.vcpu.period)
-            if not job.admission.accepted:
-                self._reject(job)
+            if not self._admitted(job, dst):
                 return
-            job.state = "copying"
             total = sum(work for _, work in job.chunks)
             job.delta_s_actual = total
             self.sim.trace.add(self.sim.now, dst.id, "mig_admit", job.space_id,
@@ -225,36 +245,17 @@ class MigrationEngine:
         task.make_ready()
         dst.touch()
 
-    # -- migration-thread step machine ------------------------------------------
+    def _admitted(self, job: MigrationJob, sb) -> bool:
+        """Run the destination's admission test on the migrating VCPU;
+        reject the job if it fails, else start copying."""
+        job.admission = sb.admit(job.vcpu.capacity, job.vcpu.period)
+        if not job.admission.accepted:
+            self._reject(job)
+            return False
+        job.state = "copying"
+        return True
 
-    def next_step(self, task):
-        job = self.jobs.get(task.sandbox.id)
-        if job is None:
-            return Park()
-        if job.state == "at-destination":
-            job.state = "admitting"
-            return Compute(self.sim.cost.admission_cost)
-        if job.state == "admitting":
-            job.admission = task.sandbox.admit(job.vcpu.capacity, job.vcpu.period)
-            if not job.admission.accepted:
-                self._reject(job)
-                return Park()
-            job.state = "copying-tss"
-            self.sim.trace.add(self.sim.now, task.sandbox.id, "mig_admit",
-                               job.space_id,
-                               f"util_after={float(job.admission.utilization_after):.3f}")
-            return self._chunk_step(job, task)
-        if job.state in ("copying-tss", "copying-pde"):
-            return self._chunk_step(job, task)
-        return Park()
-
-    def _chunk_step(self, job: MigrationJob, task) -> MonitorChunk:
-        label, work = job.chunks[job.cursor]
-        job.state = "copying-pde" if label.startswith("pde:") else "copying-tss"
-        extra = self.sim.cost.resume_overhead if job.needs_resume_overhead else 0
-        job.needs_resume_overhead = False
-        task.vcpu.set_dispatch_floor(1)
-        return MonitorChunk(job, work + extra)
+    # -- preemption point ----------------------------------------------------------
 
     def on_chunk_done(self, task, step: MonitorChunk):
         """Preemption point: account the chunk, deliver queued IPIs, and
@@ -270,7 +271,6 @@ class MigrationEngine:
         self.sim.trace.add(self.sim.now, sb.id, "mig_chunk", job.space_id,
                            f"{label};budget={v.budget}")
         if job.cursor >= len(job.chunks):
-            job.state = "finalizing"
             self.finalize(job)
             return
         need = job.chunks[job.cursor][1] + self.sim.cost.preemption_point_cost

@@ -16,6 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
+from mqsim.clock import SandboxClock
 from mqsim.errors import MalformedVcpu, NotIoVcpu, OverConsume, ValidationError
 
 REPL_QUEUE_CAP = 8
@@ -395,7 +396,8 @@ def admit(existing: list[tuple], capacity, period, mode: str = "ll") -> Admissio
         int_pairs = [(int(c * scale), int(t * scale)) for c, t in pairs]
         accepted = after <= 1 and _rta_ok(int_pairs)
     else:
-        raise ValueError(f"unknown admission mode {mode!r}")
+        raise ValidationError(f"admission mode must be one of {ADMISSION_MODES}, "
+                              f"got {mode!r}")
     return AdmissionVerdict(accepted, after)
 
 
@@ -410,7 +412,6 @@ class Sandbox:
     """
 
     def __init__(self, sim, sandbox_id: str, clock=None, admission_mode: str = "ll"):
-        from mqsim.clock import SandboxClock
         if admission_mode not in ADMISSION_MODES:
             raise ValidationError(f"sandbox {sandbox_id}: admission_mode must be one "
                                   f"of {ADMISSION_MODES}, got {admission_mode!r}")
@@ -474,10 +475,7 @@ class Sandbox:
         """Cache the dispatch order.  A main VCPU's priority key is static
         (it changes only when ``adopt_vcpu`` re-indexes it), so the mains are
         sorted once; I/O VCPUs inherit keys at run time and are compared on
-        each pick.  ``_slot`` is the position in ``vcpus``, which breaks key
-        ties as the insertion-order scan always did."""
-        for slot, v in enumerate(self.vcpus.values()):
-            v._slot = slot
+        each pick, ties going to the lower ``Vcpu.index``."""
         self._by_priority = sorted((v for v in self.vcpus.values() if v.kind != "io"),
                                    key=Vcpu.priority_key)
         self._io_vcpus = [v for v in self.vcpus.values() if v.kind == "io"]
@@ -518,17 +516,15 @@ class Sandbox:
                             None, lambda ev: self._on_unblock(then))
 
     def receive_ipi(self, src: str, payload, handler):
-        """IPIs are handled in the kernel; while a monitor section is in
-        progress or the kernel is busy they queue until the next preemption
-        point.  The sandbox dispatches after a handler runs, so handlers
-        never touch it themselves."""
+        """IPIs are handled in the kernel, in arrival order; while a monitor
+        section is in progress or the kernel is busy they queue until the
+        next preemption point.  The sandbox dispatches after the handlers
+        run, so handlers never touch it themselves."""
+        self.pending_ipis.append((src, payload, handler))
         if self.monitor_busy or self.blocked_until > self.sim.now:
-            self.pending_ipis.append((src, payload, handler))
             self.sim.trace.add(self.sim.now, self.id, "ipi", src, "queued")
             return
-        self.sim.trace.add(self.sim.now, self.id, "ipi", src, "delivered")
-        if handler is not None:
-            handler(self, src, payload)
+        self.drain_ipis()
         self.touch()
 
     def drain_ipis(self):
@@ -623,7 +619,7 @@ class Sandbox:
 
     def _pick(self) -> Vcpu | None:
         """The eligible VCPU (by its eligibility record) with the smallest
-        priority key, ties going to the earlier one in ``vcpus``."""
+        priority key, ties going to the lower ``Vcpu.index``."""
         best = None
         for v in self._by_priority:
             if v._eligible_since is not None:
@@ -631,10 +627,10 @@ class Sandbox:
                 break
         if not self._io_vcpus:
             return best
-        best_key = (best.priority_key(), best._slot) if best is not None else None
+        best_key = (best.priority_key(), best.index) if best is not None else None
         for v in self._io_vcpus:
             if v._eligible_since is not None:
-                key = (v.priority_key(), v._slot)
+                key = (v.priority_key(), v.index)
                 if best_key is None or key < best_key:
                     best, best_key = v, key
         return best

@@ -7,8 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from mqsim.bounds import (CommBoundInput, MigrationCriterionInput,
-                          brute_force_worst_rtt, check_migration_criterion,
+from mqsim.bounds import (CommBoundInput, brute_force_worst_rtt,
                           clock_adjustment, comm_breakdown, migration_bound,
                           observation_delay, rtt_bound, rtt_segments, step_f)
 from mqsim.bounds.oracle import worst_point
@@ -32,8 +31,7 @@ class TestMigrationBound:
 
     def test_verdicts_against_next_event(self):
         e_s = Fraction("79.8")
-        ok = lambda d: check_migration_criterion(
-            MigrationCriterionInput(e_s, Fraction(d), 10, 50))
+        ok = lambda d: e_s >= migration_bound(Fraction(d), 10, 50)
         assert ok("5.4")
         assert not ok("20")
         assert not ok("26.4")
@@ -53,8 +51,10 @@ class TestMigrationBound:
             assert just_below == (k - 1) * 50 + 10 - Fraction(1, 1000)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            MigrationCriterionInput(0, 1, 1, 1)
+        for delta, c_m, t_m in ((1, 0, 1), (1, 1, 0), (1, -1, 1), (-1, 1, 1)):
+            with pytest.raises(ValueError):
+                migration_bound(delta, c_m, t_m)
+        assert migration_bound(0, 1, 1) == 0
 
 
 class TestClockAdjustment:

@@ -102,6 +102,11 @@ class TestBoundsCli:
         assert payload["bound"] == "100"
         assert payload["verdict"] == "violated"
 
+    @pytest.mark.parametrize("extra", [["--cm", "0"], ["--cm", "10", "--es", "0"]])
+    def test_migration_refuses_degenerate_input(self, extra):
+        with pytest.raises(ValueError):
+            main(["bounds", "migration", "--delta", "20", "--tm", "50", *extra])
+
     def test_adjust(self, capsys):
         rc = main(["bounds", "adjust", "--tscd", "1000", "--tscs", "400",
                    "--rdtsc", "10", "--ipi", "100"])

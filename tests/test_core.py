@@ -216,6 +216,24 @@ class TestIpi:
         dst.drain_ipis()
         assert got == [2000]
 
+    def test_queued_ipis_delivered_first_in_arrival_order(self):
+        sim = Simulator()
+        Sandbox(sim, "a")
+        dst = Sandbox(sim, "b")
+        dst.monitor_busy = True
+        got = []
+        for p in (1, 2):
+            sim.send_ipi("a", "b", payload=p,
+                         handler=lambda sb, src, p: got.append((sim.now, p)))
+        sim.run_until(1000)
+        dst.monitor_busy = False
+        sim.send_ipi("a", "b", payload=3,
+                     handler=lambda sb, src, p: got.append((sim.now, p)))
+        sim.run_until(2000)
+        arrival = 1000 + sim.cost.ipi_cost
+        assert got == [(arrival, 1), (arrival, 2), (arrival, 3)]
+        assert dst.pending_ipis == []
+
 
 class TestTrace:
     def test_fnv1a_known_vectors(self):

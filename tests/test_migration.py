@@ -68,6 +68,12 @@ class TestCostEstimation:
         with pytest.raises(Exception):
             AddressSpace("crowded", task_controls=[f"t{i}" for i in range(9)])
 
+    @pytest.mark.parametrize("bad", [{"total_pages": -5000}, {"pages_per_pde": 0},
+                                     {"tss_limit": -1}])
+    def test_negative_sizes_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            AddressSpace("s", **bad)
+
 
 class TestEligibility:
     def test_runnable_vcpu_rejected(self):
@@ -109,6 +115,36 @@ class TestEligibility:
 
 
 class TestCompletion:
+    def test_state_is_copying_mid_copy(self):
+        sim, eng, sb1, sb2, vc, task = rig()
+        sim.run_until(25_000)
+        job = eng.request_migration("sb1", "sb2", "work_as", pde_extra_delay=800)
+        sim.run_until(1_000_000)
+        assert job.state == "copying"
+        assert 0 < job.cursor < len(job.chunks)
+        sim.run_until(12_000_000)
+        assert job.state == "completed"
+
+    def test_one_thread_completes_two_jobs_in_a_row(self):
+        sim, eng, sb1, sb2, vc, task = rig()
+        other_v = sb1.add_vcpu("otherv", 10_000, 100_000)
+        sb1.add_task("other", other_v, program=sleeper())
+        sb1.spaces["other_as"] = AddressSpace("other_as", total_pages=1,
+                                              task_controls=["other"])
+        sim.run_until(25_000)
+        first = eng.request_migration("sb1", "sb2", "work_as")
+        sim.run_until(200_000)
+        assert first.state == "completed" and not eng.jobs
+        second = eng.request_migration("sb1", "sb2", "other_as")
+        sim.run_until(400_000)
+        assert second.state == "completed"
+        assert set(sb2.spaces) == {"work_as", "other_as"}
+        assert other_v.id in sb2.vcpus and other_v.id not in sb1.vcpus
+        admits = [r.t for r in sim.trace.rows if r.kind == "mig_admit"]
+        finals = [r.t for r in sim.trace.rows if r.kind == "mig_finalize"]
+        assert len(admits) == len(finals) == 2
+        assert finals[0] < admits[1]
+
     def test_exactly_once_transfer(self):
         sim, eng, sb1, sb2, vc, task = rig()
         sim.run_until(25_000)
@@ -217,6 +253,20 @@ class TestRejection:
 
 
 class TestIpiHandlerMode:
+    def test_overloaded_destination_rejects_without_blocking(self):
+        sim, eng, sb1, sb2, vc, task = rig(dest_extra_load=[(40_000, 50_000)])
+        sim.run_until(25_000)
+        job = eng.request_migration("sb1", "sb2", "work_as", mode="ipi-handler")
+        sim.run_until(2_000_000)
+        assert job.state == "rejected"
+        assert task.sandbox is sb1 and "work_as" in sb1.spaces
+        assert vc.id in sb1.vcpus and vc.id not in sb2.vcpus
+        assert not vc.migrating
+        assert sb2.blocked_until == 0
+        rows = [(r.sandbox, r.kind) for r in sim.trace.rows]
+        assert ("sb2", "mig_reject") in rows and ("sb1", "mig_requeue") in rows
+        assert not any(kind == "mig_admit" for _, kind in rows)
+
     def test_kernel_block_stalls_destination(self):
         sim, eng, sb1, sb2, vc, task = rig()
         hog = sb2.add_vcpu("hogv", 10_000, 100_000)

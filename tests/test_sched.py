@@ -290,6 +290,10 @@ class TestAdmission:
             Sandbox(sim, "a", admission_mode="bogus")
         assert sim.sandboxes == {}
 
+    def test_unknown_mode_rejected_by_the_test(self):
+        with pytest.raises(ValidationError, match="bogus"):
+            admit([], 1, 2, "bogus")
+
 
 class TestPriorityInheritance:
     def test_io_vcpu_must_be_io(self):
