@@ -87,7 +87,7 @@ def _cmd_run(args) -> int:
     sc = load_scenario(source)
     for w in sc.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    built = build(sc)
+    built = build(sc, "rows" if args.out else "hash")
     sampler = Sampler(built.sim, sc.sample_period_us)
     for name, task in built.tasks.items():
         sampler.add_counter(f"counters.{name}",
@@ -98,6 +98,7 @@ def _cmd_run(args) -> int:
     finish_run(built.sim)
     summary = {
         "trace_hash": f"{built.sim.trace.hash():016x}",
+        "trace_rows": built.sim.trace.row_count,
         "until_us": until,
         "migrations": [t.job.summary() for t in built.triggers if t.job],
     }

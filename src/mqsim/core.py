@@ -61,13 +61,13 @@ _new_event = tuple.__new__
 
 
 class Simulator:
-    """Global event queue plus the sandbox registry.  With
-    ``keep_rows=False`` its trace discards every row (see ``SimTrace``)."""
+    """Global event queue plus the sandbox registry.  ``trace`` is the mode
+    of its trace: "discard", "hash" or "rows" (see ``SimTrace``)."""
 
-    def __init__(self, cost_model: CostModel | None = None, keep_rows: bool = True):
+    def __init__(self, cost_model: CostModel | None = None, trace: str = "hash"):
         self.now = 0
         self.cost = cost_model or CostModel()
-        self.trace = SimTrace(keep_rows=keep_rows)
+        self.trace = SimTrace(trace)
         self.sandboxes: dict[str, object] = {}
         self.channels: dict[tuple, object] = {}
         self._heap: list[SimEvent] = []

@@ -22,7 +22,8 @@ class SelfIpi(MqsimError):
 # --- trace ---
 
 class RowsNotKept(MqsimError):
-    """A trace built with ``keep_rows=False`` was asked for its rows' bytes."""
+    """A trace was asked for bytes its mode does not keep: the CSV of a trace
+    that keeps no rows, or the hash of one that discards them."""
 
 
 # --- scheduling ---
@@ -37,6 +38,11 @@ class OverConsume(MqsimError):
 
 class NotIoVcpu(MqsimError):
     """Priority inheritance was requested on a VCPU that is not an I/O VCPU."""
+
+
+class SchedulerFault(MqsimError):
+    """The scheduler reached a state its own rules exclude: a budget above
+    capacity, a step run past its end, or an advance of no time."""
 
 
 # --- channels ---

@@ -73,9 +73,10 @@ class RunResult:
 
 
 def run_table1(migrate: bool = True, mode: str = "thread", pde_extra: int = 0,
-               sb2_offset: int = 0) -> RunResult:
+               sb2_offset: int = 0, trace: str = "hash") -> RunResult:
     """Run the two-sandbox setup for its 12 s, optionally migrating the
-    compute task at t=5 s, sampling every second."""
+    compute task at t=5 s, sampling every second.  ``trace`` is the trace
+    mode; pass "rows" to read or export the rows."""
     raw = builtin_scenario("table1")
     raw["sandboxes"][1]["clock"]["offset_us"] = sb2_offset
     if migrate:
@@ -84,7 +85,7 @@ def run_table1(migrate: bool = True, mode: str = "thread", pde_extra: int = 0,
     else:
         raw["migrations"] = []
     sc = load_scenario(raw)
-    built = build(sc)
+    built = build(sc, trace)
     sampler = Sampler(built.sim, SECOND)
     sampler.add_counter("canny_fps_proxy",
                         lambda: built.tasks["canny"].counters.get("iterations", 0))
@@ -133,7 +134,7 @@ def deadline_miss_table(built, t_end: int) -> dict:
 
 def experiment_fig9(out_dir: str | None = None) -> dict:
     control = run_table1(migrate=False)
-    migrated = run_table1(migrate=True)
+    migrated = run_table1(migrate=True, trace=_export_mode(out_dir))
     artifact = {
         "experiment": "fig9",
         "control": _series_dict(control),
@@ -147,7 +148,8 @@ def experiment_fig9(out_dir: str | None = None) -> dict:
 def _single_run(name: str, out_dir: str | None, mode: str) -> dict:
     """A slow-copy experiment: one table1 run migrating in ``mode`` with
     800 us of extra delay per page-directory entry."""
-    run = run_table1(migrate=True, mode=mode, pde_extra=800)
+    run = run_table1(migrate=True, mode=mode, pde_extra=800,
+                     trace=_export_mode(out_dir))
     artifact = {
         "experiment": name,
         "migrated": _series_dict(run),
@@ -165,6 +167,11 @@ def experiment_fig11(out_dir: str | None = None) -> dict:
     return _single_run("fig11", out_dir, "ipi-handler")
 
 
+def _export_mode(out_dir: str | None) -> str:
+    """The trace mode of a run whose trace ``_write`` exports to ``out_dir``."""
+    return "rows" if out_dir else "hash"
+
+
 def _series_dict(res: RunResult) -> dict:
     return {name: s.samples for name, s in res.sampler.series.items()}
 
@@ -179,9 +186,9 @@ def pingpong_case_max_rtt(c_s, t_s, c_d, t_d, request_work, response_work,
     120 simulated seconds.  ``keep_samples`` collects the round-trip
     samples, ``keep_segments`` their segments (see ``exchange_segments``).
     The point's trace keeps rows only when ``keep_segments`` is given,
-    because only the segments read them; the simulated events, and so the
-    samples, are the same either way."""
-    sim = Simulator(CostModel(), keep_rows=keep_segments is not None)
+    because only the segments read them, and otherwise discards them; the
+    simulated events, and so the samples, are the same either way."""
+    sim = Simulator(CostModel(), "rows" if keep_segments is not None else "discard")
     s = Sandbox(sim, "s")
     d = Sandbox(sim, "d")
     vs = s.add_vcpu("vs", c_s, t_s)

@@ -282,10 +282,11 @@ class BuiltScenario:
     triggers: list = field(default_factory=list)
 
 
-def build(sc: Scenario) -> BuiltScenario:
-    """Instantiate a loaded scenario into a simulator ready to run."""
+def build(sc: Scenario, trace: str = "hash") -> BuiltScenario:
+    """Instantiate a loaded scenario into a simulator ready to run, whose
+    trace has mode ``trace`` (see ``SimTrace``)."""
     spec = sc.spec
-    sim = Simulator(spec["cost_model"])
+    sim = Simulator(spec["cost_model"], trace)
     engine = MigrationEngine(sim)
     out = BuiltScenario(sim, engine, sc)
     for sb_spec in spec["sandboxes"]:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mqsim.clock import SandboxClock
-from mqsim.errors import MalformedVcpu, NotIoVcpu, OverConsume, ValidationError
+from mqsim.errors import (MalformedVcpu, NotIoVcpu, OverConsume, SchedulerFault,
+                          ValidationError)
 
 REPL_QUEUE_CAP = 8
 VCPU_KINDS = ("main", "io")
@@ -69,13 +70,22 @@ class MonitorChunk:
 
 
 class TaskApi:
-    """Constructors for workload steps, bound to one task."""
+    """Constructors for workload steps, bound to one task.  Every tick count
+    they take must be a non-negative ``int``, and every local time an
+    ``int``: a clock behind true time reads negative local times."""
 
     def __init__(self, task: "Task"):
         self.task = task
 
+    def _ticks(self, step: str, name: str, value, signed: bool = False) -> int:
+        if type(value) is not int or (value < 0 and not signed):
+            kind = "an int" if signed else "a non-negative int"
+            raise ValidationError(f"task {self.task.id}: {step} {name} must be "
+                                  f"{kind}, got {value!r}")
+        return value
+
     def compute(self, ticks: int) -> Compute:
-        return Compute(int(ticks))
+        return Compute(self._ticks("compute", "ticks", ticks))
 
     def send(self, channel) -> Send:
         """Raises ``MailboxFull`` if the peer has not taken the last message."""
@@ -85,14 +95,15 @@ class TaskApi:
         return PollWait(channel)
 
     def sleep_until(self, t_local: int) -> SleepUntil:
-        return SleepUntil(int(t_local))
+        return SleepUntil(self._ticks("sleep_until", "t_local", t_local, signed=True))
 
     def sleep_for(self, dt: int) -> SleepUntil:
         """Sleep ``dt`` local ticks from now (the step's install instant)."""
-        return SleepUntil(self.local_now() + int(dt))
+        return SleepUntil(self.local_now() + self._ticks("sleep_for", "dt", dt))
 
     def block_io(self, latency: int, completion_work: int) -> BlockIo:
-        return BlockIo(int(latency), int(completion_work))
+        return BlockIo(self._ticks("block_io", "latency", latency),
+                       self._ticks("block_io", "completion_work", completion_work))
 
     def park(self) -> Park:
         return Park()
@@ -294,11 +305,13 @@ class Vcpu:
             return
         self.repl.remove(entry)
         self.budget += entry.amount
-        assert self.budget <= self.capacity, f"{self.id}: budget over capacity"
-        self.note_eligibility()
         sb = self.sandbox
+        if self.budget > self.capacity:
+            raise SchedulerFault(f"sandbox {sb.id}: VCPU {self.id} budget "
+                                 f"{self.budget} over capacity {self.capacity}")
+        self.note_eligibility()
         trace = sb.sim.trace
-        if trace.keep_rows:
+        if trace.mode != "discard":
             trace.add(sb.sim.now, sb.id, "replenish", self.id,
                       f"amount={entry.amount};budget={self.budget}")
         sb.touch()
@@ -671,9 +684,12 @@ class Sandbox:
         dt = now - self.chunk_start_true
         if dt:
             v.consume(dt, allow_overrun=self.monitor_busy)
-            if self._timed is not None:
-                self._timed.remaining -= dt
-                assert self._timed.remaining >= 0
+            timed = self._timed
+            if timed is not None:
+                timed.remaining -= dt
+                if timed.remaining < 0:
+                    raise SchedulerFault(f"sandbox {self.id}: VCPU {v.id} ran "
+                                         f"{-timed.remaining} ticks past {timed}")
             start = self.chunk_start_true
             ivs = v.exec_intervals
             if ivs and ivs[-1][1] == start:
@@ -687,7 +703,7 @@ class Sandbox:
         self.chunk_start_true = self.sim.now
         v.begin_chunk(self.now_local())
         trace = self.sim.trace
-        if trace.keep_rows:
+        if trace.mode != "discard":
             work = v.current_work()
             entity = work.id if isinstance(work, Task) else (
                 work.task.id if isinstance(work, IoJob) else "")
@@ -727,7 +743,9 @@ class Sandbox:
             dur = v.budget
         else:
             dur = min(v.budget, timed.remaining)
-        assert dur > 0
+        if dur <= 0:
+            raise SchedulerFault(f"sandbox {self.id}: VCPU {v.id} armed an advance "
+                                 f"of {dur} ticks (budget {v.budget}, step {timed})")
         self._timed = timed
         self._advance_event = self.sim.post_event(
             self.sim.now + dur, "advance", self.id, None, self._advance_handler)
@@ -810,7 +828,8 @@ class Sandbox:
             task.step = st
             return
         if not isinstance(st, (SleepUntil, BlockIo, Park)):
-            raise AssertionError(f"unknown step {st}")
+            raise ValidationError(f"sandbox {self.id}: task {task.id} yielded "
+                                  f"{st!r}, which is not a workload step")
         task.leave_ready()
         if isinstance(st, SleepUntil):
             self.schedule_wake(task, st.t_local)

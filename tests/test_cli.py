@@ -159,6 +159,14 @@ class TestRunCli:
         assert json.loads(capsys.readouterr().out) == summary
         written = (tmp_path / "trace.csv").read_bytes()
         assert summary["trace_hash"] == f"{blake2b64(written):016x}"
+        assert summary["trace_rows"] == written.count(b"\n") - 1
+
+    def test_rowless_run_reports_its_trace(self, capsys):
+        """Without ``--out`` the run keeps no rows, yet reports the hash and
+        the size of its trace."""
+        assert main(["run", "table1"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["trace_hash"], summary["trace_rows"]) == ("b73dece29e4a00bd", 11596)
 
     def test_unknown_scenario(self, capsys):
         with pytest.raises(Exception):

@@ -10,6 +10,8 @@ from mqsim.clock import SandboxClock
 from mqsim.core import CostModel, Simulator
 from mqsim.errors import (PastTimestamp, RowsNotKept, SelfIpi, UnknownSandbox,
                           ValidationError)
+from mqsim.experiments import run_table1
+from mqsim.scenario import build, builtin_scenario, load_scenario
 from mqsim.sched import Sandbox
 from mqsim.trace import HASH_BLOCK_ROWS, SimTrace
 from mqsim.workloads import busy_loop
@@ -17,7 +19,7 @@ from trace_corpus import blake2b64, fnv1a64, run_setup
 
 
 def trace_of(rows) -> SimTrace:
-    trace = SimTrace()
+    trace = SimTrace("rows")
     for row in rows:
         trace.add(*row)
     return trace
@@ -241,7 +243,7 @@ class TestTrace:
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
 
     def test_csv_header(self):
-        sim = Simulator()
+        sim = Simulator(trace="rows")
         sim.trace.add(5, "a", "wakeup", "t", "x=1")
         csv = sim.trace.to_csv()
         assert csv.splitlines()[0] == "t_true_us,sandbox,event_kind,entity,detail"
@@ -279,8 +281,9 @@ class TestTrace:
         assert trace.hash() == blake2b64(trace.to_csv().encode())
 
     def test_hash_feeds_blocks_of_rows(self, monkeypatch):
-        """The hasher gets the header, then at most ``HASH_BLOCK_ROWS``
-        lines per update, so the whole CSV is never built."""
+        """The hasher gets the header, then each full block of
+        ``HASH_BLOCK_ROWS`` lines as ``add`` completes it, so the whole CSV
+        is never built; ``hash`` feeds the pending lines to a copy."""
         fed = []
 
         class Recorder:
@@ -292,12 +295,19 @@ class TestTrace:
                 self.inner.update(data)
                 fed.append(data)
 
+            def copy(self):
+                twin = Recorder.__new__(Recorder)
+                twin.inner = self.inner.copy()
+                return twin
+
             def digest(self):
                 return self.inner.digest()
 
+        monkeypatch.setattr(trace_module, "blake2b", Recorder)
         trace = trace_of((t, "sb1", "wakeup", "t", "")
                          for t in range(2 * HASH_BLOCK_ROWS + 1))
-        monkeypatch.setattr(trace_module, "blake2b", Recorder)
+        assert [block.count(b"\n") for block in fed] == [
+            1, HASH_BLOCK_ROWS, HASH_BLOCK_ROWS]
         h = trace.hash()
         assert [block.count(b"\n") for block in fed] == [
             1, HASH_BLOCK_ROWS, HASH_BLOCK_ROWS, 1]
@@ -314,9 +324,9 @@ class TestTrace:
         assert trace.hash() == blake2b64(trace.to_csv().encode())
 
     def test_rowless_trace_keeps_nothing_and_refuses_its_bytes(self):
-        """A trace built with ``keep_rows=False`` discards every row; its
-        hash and CSV would be those of an empty run, so it refuses both."""
-        trace = SimTrace(keep_rows=False)
+        """A trace in mode "discard" discards every row; its hash and CSV
+        would be those of an empty run, so it refuses both."""
+        trace = SimTrace("discard")
         trace.add(5, "a", "wakeup", "t", "x=1")
         trace.add(6, "a", "deplete")
         assert trace.rows == []
@@ -325,13 +335,29 @@ class TestTrace:
         with pytest.raises(RowsNotKept):
             trace.to_csv()
 
-    def test_simulator_passes_keep_rows_to_its_trace(self):
-        assert Simulator().trace.keep_rows
-        sim = Simulator(keep_rows=False)
+    def test_simulator_passes_its_trace_mode_to_its_trace(self):
+        """The default trace hashes and counts its rows without keeping
+        them, so it refuses its CSV; "rows" keeps them and "discard" keeps
+        nothing."""
+        sim = Simulator()
         sim.trace.add(0, "sb1", "wakeup")
-        assert not sim.trace.keep_rows and sim.trace.rows == []
+        assert sim.trace.mode == "hash" and sim.trace.rows == []
+        assert sim.trace.row_count == 1
+        assert sim.trace.hash() == blake2b64(b"t_true_us,sandbox,event_kind,entity,"
+                                             b"detail\n0,sb1,wakeup,,\n")
+        with pytest.raises(RowsNotKept):
+            sim.trace.to_csv()
+        sim = Simulator(trace="rows")
+        sim.trace.add(0, "sb1", "wakeup")
+        assert sim.trace.mode == "rows" and len(sim.trace.rows) == 1
+        sim = Simulator(trace="discard")
+        sim.trace.add(0, "sb1", "wakeup")
+        assert sim.trace.mode == "discard" and sim.trace.rows == []
+        assert sim.trace.row_count == 0
         with pytest.raises(RowsNotKept):
             sim.trace.hash()
+        with pytest.raises(ValidationError):
+            Simulator(trace="keep")
 
     def test_hash_never_builds_the_csv(self, monkeypatch):
         sim = run_setup(22)
@@ -345,3 +371,78 @@ class TestTrace:
 
         monkeypatch.setattr(SimTrace, "to_csv", refuse)
         assert sim.trace.hash() == expected
+
+
+# The row-to-bytes function of the trace from before it streamed, kept as it
+# was: an independent check of the line formatter that ``SimTrace`` shares
+# between ``add`` and ``to_csv``.
+def _lines(rows) -> str:
+    """The CSV lines of ``rows``, each ending in a newline."""
+    return "".join([f"{t},{sandbox},{kind},{entity},{detail}\n"
+                    for t, sandbox, kind, entity, detail in rows])
+
+
+def csv_bytes(trace) -> bytes:
+    return ("t_true_us,sandbox,event_kind,entity,detail\n" + _lines(trace.rows)).encode()
+
+
+TABLE1_VARIANTS = [
+    pytest.param(dict(mode=mode, pde_extra=pde), id=f"{mode}-pde{pde}")
+    for mode in ("thread", "ipi-handler") for pde in (0, 800)]
+
+
+def table1_built(trace: str, mode: str = "thread", pde_extra: int = 0):
+    raw = builtin_scenario("table1")
+    raw["migrations"][0].update(mode=mode, pde_extra_delay_us=pde_extra)
+    return build(load_scenario(raw), trace)
+
+
+class TestStreamedHash:
+    """Every recording trace hashes its rows as they are added; a trace in
+    mode "hash" keeps none of them."""
+
+    def assert_same_trace(self, hashed, kept):
+        expected = blake2b64(csv_bytes(kept))
+        assert hashed.rows == [] and hashed.row_count == len(kept.rows)
+        assert kept.to_csv().encode() == csv_bytes(kept)
+        assert hashed.hash() == kept.hash() == expected
+
+    @pytest.mark.parametrize("kwargs", TABLE1_VARIANTS)
+    def test_table1_hash_only_equals_rows_kept(self, kwargs):
+        self.assert_same_trace(run_table1(**kwargs).sim.trace,
+                               run_table1(**kwargs, trace="rows").sim.trace)
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_corpus_hash_only_equals_rows_kept(self, seed):
+        self.assert_same_trace(run_setup(seed, trace="hash").trace,
+                               run_setup(seed).trace)
+
+    @pytest.mark.parametrize("kwargs", TABLE1_VARIANTS)
+    def test_hash_mid_run(self, kwargs):
+        """``hash`` may be called at any point, and again: each time it is
+        the hash of the rows added so far, in either mode."""
+        hashed = table1_built("hash", **kwargs).sim
+        kept = table1_built("rows", **kwargs).sim
+        for t in (0, 2_500_000, 5_030_200, 7_000_001, 12_000_000):
+            hashed.run_until(t)
+            kept.run_until(t)
+            self.assert_same_trace(hashed.trace, kept.trace)
+            assert hashed.trace.hash() == kept.trace.hash() == blake2b64(
+                csv_bytes(kept.trace))
+
+    def test_long_run_holds_one_block(self, monkeypatch):
+        """A 60 s table1 run keeps no rows and never holds a full block of
+        pending lines."""
+        most = []
+        add = SimTrace.add
+
+        def add_watched(trace, *row):
+            add(trace, *row)
+            most.append(len(trace._pending))
+
+        monkeypatch.setattr(SimTrace, "add", add_watched)
+        sim = table1_built("hash").sim
+        sim.run_until(60_000_000)
+        assert sim.trace.rows == []
+        assert sim.trace.row_count == len(most) > 50_000
+        assert max(most) < HASH_BLOCK_ROWS

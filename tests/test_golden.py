@@ -122,7 +122,7 @@ def _csv_fnv(sim) -> str:
 @pytest.mark.parametrize("name", list(TABLE1_GOLDEN))
 def test_table1_golden(name):
     kwargs, trace_fnv, rows, intervals, misses = TABLE1_GOLDEN[name]
-    res = experiments.run_table1(**kwargs)
+    res = experiments.run_table1(**kwargs, trace="rows")
     assert _csv_fnv(res.sim) == trace_fnv
     assert len(res.sim.trace.rows) == rows
     assert eligible_digest(res.sim) == intervals
@@ -172,7 +172,7 @@ def test_bound_engine_golden():
 def _print_current():
     print("TABLE1_GOLDEN = {")
     for name, (kwargs, *_) in TABLE1_GOLDEN.items():
-        res = experiments.run_table1(**kwargs)
+        res = experiments.run_table1(**kwargs, trace="rows")
         print(f"    {name!r}: ({kwargs!r}, {_csv_fnv(res.sim)!r}, "
               f"{len(res.sim.trace.rows)},\n        {eligible_digest(res.sim)!r}, "
               f"{sum(res.summary['deadline_misses'].values())}),")

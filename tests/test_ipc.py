@@ -15,7 +15,7 @@ LIMIT = 3_600_000_000  # one simulated hour, far past every exchange here
 
 def pair(profile=None, n_work=5, m_work=4, cs=2, ts=10, cd=3, td=15,
          sender_kwargs=None, receiver_kwargs=None, idle=False):
-    sim = Simulator(CostModel())
+    sim = Simulator(CostModel(), trace="rows")
     s = Sandbox(sim, "s")
     d = Sandbox(sim, "d")
     vs = s.add_vcpu("vs", cs, ts)

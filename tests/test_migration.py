@@ -20,7 +20,7 @@ def resume_overhead_paid(sim, eng, job) -> int:
 
 
 def rig(admission="exact", dest_extra_load=None, sb2_offset=0):
-    sim = Simulator(CostModel())
+    sim = Simulator(CostModel(), trace="rows")
     eng = MigrationEngine(sim)
     sb1 = Sandbox(sim, "sb1", admission_mode=admission)
     sb2 = Sandbox(sim, "sb2",
@@ -306,7 +306,7 @@ class TestMonitorModeIpis:
 
 class TestOverrun:
     def test_single_chunk_over_budget_defers_replenishment(self):
-        sim = Simulator(CostModel())
+        sim = Simulator(CostModel(), trace="rows")
         eng = MigrationEngine(sim)
         sb1 = Sandbox(sim, "sb1", admission_mode="cap")
         sb2 = Sandbox(sim, "sb2", admission_mode="cap")

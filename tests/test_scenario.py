@@ -406,7 +406,7 @@ class TestBuild:
         """``at_s`` counts seconds of 1 us ticks, as ``run_until_s`` does:
         the request lands after 5M ticks (5 s), at the first depletion of
         the migrated VCPU plus the 200-tick delay."""
-        built = build(load_scenario(table1()))
+        built = build(load_scenario(table1()), trace="rows")
         built.sim.run_until(6_000_000)
         requests = [r.t for r in built.sim.trace.rows if r.kind == "mig_request"]
         assert requests == [5_030_200]

@@ -5,18 +5,22 @@ from fractions import Fraction
 
 import pytest
 
+from mqsim.clock import SandboxClock
 from mqsim.core import CostModel, Simulator
-from mqsim.errors import MalformedVcpu, NotIoVcpu, OverConsume, ValidationError
+from mqsim.errors import (MalformedVcpu, NotIoVcpu, OverConsume, SchedulerFault,
+                          ValidationError)
+from mqsim.ipc import ExchangeProfile, establish_channel
 from mqsim.metrics import (IntervalSet, budget_law_violations, finish_run,
                            replenishment_conserved)
 from mqsim.sched import (REPL_QUEUE_CAP, Sandbox, Vcpu, admit,
                          inherit_priority)
-from mqsim.workloads import busy_loop, io_cycle, periodic_logger
+from mqsim.workloads import (busy_loop, io_cycle, periodic_logger, pingpong_receiver,
+                             pingpong_sender)
 from trace_corpus import CORPUS_SEEDS, run_setup
 
 
 def mini(admission="ll"):
-    sim = Simulator(CostModel())
+    sim = Simulator(CostModel(), trace="rows")
     return sim, Sandbox(sim, "sb", admission_mode=admission)
 
 
@@ -249,6 +253,68 @@ class TestReplenishment:
     def test_budget_plus_pending_is_capacity(self):
         v = run_program(100, 1000, self.chunks((30, 100), (20, None)), 200)
         assert v.budget + sum(e.amount for e in v.repl) == v.capacity
+
+    def test_replenishment_over_capacity_is_a_fault(self):
+        v = run_program(10_000, 50_000, self.chunks((10_000, None)), 20_000)
+        v.repl[0].amount += 1
+        with pytest.raises(SchedulerFault, match="sandbox sb: VCPU v budget 10001"):
+            v.sandbox.sim.run_until(60_000)
+
+
+class TestStepInput:
+    """Step constructors take non-negative int ticks and local times, and a
+    program may yield only workload steps."""
+
+    @pytest.mark.parametrize("step, args", [
+        ("compute", (-5,)), ("compute", (2.7,)), ("compute", ("3",)),
+        ("compute", (True,)), ("block_io", (-5, 100)), ("block_io", (100, -1)),
+        ("sleep_until", (1.5,)), ("sleep_for", (-1,)), ("sleep_for", (0.5,))])
+    def test_bad_ticks_are_refused(self, step, args):
+        def program(api):
+            yield getattr(api, step)(*args)
+        sim, sb = mini()
+        sb.add_task("t", sb.add_vcpu("v", 10, 50), program=program)
+        with pytest.raises(ValidationError, match=f"task t: {step} .* must be a"):
+            sb.touch()
+
+    def test_sleep_until_a_negative_local_time(self):
+        """A clock 25 ms behind true time reads negative local times, so a
+        paced sender sleeps until one: its first send is at local -20 ms."""
+        sim = Simulator(CostModel())
+        s = Sandbox(sim, "s", SandboxClock(-25_000))
+        d = Sandbox(sim, "d")
+        ch = establish_channel(sim, "s", "d", ExchangeProfile(100, 100))
+        snd = s.add_task("snd", s.add_vcpu("vs", 1_000, 10_000),
+                         program=pingpong_sender(ch, pace=10_000))
+        rcv = d.add_task("rcv", d.add_vcpu("vd", 1_000, 10_000),
+                         program=pingpong_receiver(ch))
+        ch.bind(snd, rcv)
+        s.touch()
+        d.touch()
+        sim.run_until(50_000)
+        assert snd.rtt_samples[:2] == [(0, -20_000, 10_000), (1, 0, 10_000)]
+
+    def test_zero_ticks_complete_at_once(self):
+        def program(api):
+            yield api.compute(0)
+            yield api.sleep_for(0)
+            yield api.block_io(0, 0)
+            api.task.count("done")
+            yield api.park()
+        sim, sb = mini()
+        t = sb.add_task("t", sb.add_vcpu("v", 10, 50), program=program)
+        sb.touch()
+        sim.run_until(100)
+        assert t.counters == {"done": 1}
+
+    def test_non_step_is_refused(self):
+        def program(api):
+            yield "compute 5"
+        sim, sb = mini()
+        sb.add_task("t", sb.add_vcpu("v", 10, 50), program=program)
+        with pytest.raises(ValidationError,
+                           match="sandbox sb: task t yielded 'compute 5', which is not"):
+            sb.touch()
 
 
 class TestAdmission:

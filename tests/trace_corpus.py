@@ -55,10 +55,11 @@ def _program(rng):
     return periodic_logger(_steps(rng, 20, 100), _steps(rng, 1, 2))
 
 
-def build_setup(seed: int) -> Simulator:
-    """The setup of one seed, built and touched at t=0, not yet run."""
+def build_setup(seed: int, trace: str = "rows") -> Simulator:
+    """The setup of one seed, built and touched at t=0, not yet run, with
+    trace mode ``trace``."""
     rng = random.Random(seed)
-    sim = Simulator()
+    sim = Simulator(trace=trace)
     sandboxes = []
     for name in ("s1", "s2"):
         offset = rng.choice((0, 0, _steps(rng, -4, 4)))
@@ -92,8 +93,8 @@ def build_setup(seed: int) -> Simulator:
     return sim
 
 
-def run_setup(seed: int) -> Simulator:
-    sim = build_setup(seed)
+def run_setup(seed: int, trace: str = "rows") -> Simulator:
+    sim = build_setup(seed, trace)
     sim.run_until(HORIZON_US)
     finish_run(sim)
     return sim
