@@ -107,7 +107,7 @@ def _cmd_run(args) -> int:
         with open(os.path.join(args.out, "metrics.csv"), "w") as fh:
             fh.write(sampler.to_csv())
         with open(os.path.join(args.out, "trace.csv"), "w") as fh:
-            fh.write(built.sim.trace.to_csv())
+            built.sim.trace.write_csv(fh)
         with open(os.path.join(args.out, "summary.json"), "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True, default=str)
     print(json.dumps(summary, indent=2, sort_keys=True, default=str))

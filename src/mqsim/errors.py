@@ -36,10 +36,6 @@ class OverConsume(MqsimError):
     """A VCPU was charged more budget than it holds (and no overrun is permitted)."""
 
 
-class NotIoVcpu(MqsimError):
-    """Priority inheritance was requested on a VCPU that is not an I/O VCPU."""
-
-
 class SchedulerFault(MqsimError):
     """The scheduler reached a state its own rules exclude: a budget above
     capacity, a step run past its end, or an advance of no time."""

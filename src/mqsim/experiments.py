@@ -378,7 +378,8 @@ def _write(out_dir: str | None, name: str, artifact: dict, run: RunResult):
         return
     os.makedirs(out_dir, exist_ok=True)
     _put(out_dir, "metrics.csv", run.sampler.to_csv())
-    _put(out_dir, "trace.csv", run.sim.trace.to_csv())
+    with open(os.path.join(out_dir, "trace.csv"), "w") as fh:
+        run.sim.trace.write_csv(fh)
     _put(out_dir, "summary.json",
          json.dumps(artifact["summary"] | {"experiment": name},
                     indent=2, sort_keys=True, default=str))

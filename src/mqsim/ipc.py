@@ -70,11 +70,12 @@ class Channel:
             raise MailboxFull(f"channel {self.id}: previous message not consumed")
         return self.profile.response_work if side else self.profile.request_work
 
-    def finish_send(self, task, now: int):
+    def finish_send(self, task):
         """Transmission complete: flip the status bit and, if the peer is
         polling on CPU right now, hand the message over immediately."""
         side = self._side(task)
         self.full[1 - side] = True
+        now = self.sim.now
         self.sim.trace.add(now, task.sandbox.id, "msg_send", task.id, self._trace_detail)
         peer = self.task_a if side else self.task_b
         sb = peer.sandbox

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from mqsim.bounds.formulas import clock_adjustment, migration_bound
 from mqsim.errors import BlockedOnIo, DestinationBusy, NotEligible, ValidationError
-from mqsim.sched import Compute, MonitorChunk, Park
+from mqsim.sched import Compute, Park
 
 MIGRATION_MODES = ("thread", "ipi-handler")
 MAX_SPACE_BYTES = 4 << 20
@@ -133,7 +133,7 @@ class MigrationEngine:
                 extra = cost.resume_overhead if job.needs_resume_overhead else 0
                 job.needs_resume_overhead = False
                 vcpu.set_dispatch_floor(1)
-                yield MonitorChunk(job, work + extra)
+                yield Compute(work + extra, self.on_chunk_done, monitor=True)
 
     def has_thread(self, sandbox_id: str) -> bool:
         return sandbox_id in self.threads
@@ -190,7 +190,7 @@ class MigrationEngine:
         if mode == "thread" and destination not in self.threads:
             raise ValidationError(f"{destination} has no migration thread")
 
-        pending = vcpu.pending_event_locals()
+        pending = [timer.t_local for timer in vcpu.timers()]
         e_s = min(pending) - src.now_local() if pending else None
 
         job = MigrationJob(source, destination, space_id, vcpu, mode,
@@ -257,11 +257,12 @@ class MigrationEngine:
 
     # -- preemption point ----------------------------------------------------------
 
-    def on_chunk_done(self, task, step: MonitorChunk):
-        """Preemption point: account the chunk, deliver queued IPIs, and
-        either continue, yield for budget, or finalize."""
-        job = step.job
+    def on_chunk_done(self, task):
+        """Preemption point after a chunk of the migration thread ``task``:
+        account the chunk, deliver queued IPIs, and either continue, yield
+        for budget, or finalize."""
         sb = task.sandbox
+        job = self.jobs[sb.id]
         v = task.vcpu
         label, work = job.chunks[job.cursor]
         job.delta_s_actual += work

@@ -17,12 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mqsim.clock import SandboxClock
-from mqsim.errors import (MalformedVcpu, NotIoVcpu, OverConsume, SchedulerFault,
-                          ValidationError)
+from mqsim.errors import MalformedVcpu, OverConsume, SchedulerFault, ValidationError
 
 REPL_QUEUE_CAP = 8
 VCPU_KINDS = ("main", "io")
-ADMISSION_MODES = ("ll", "exact", "cap")
+ADMISSION_MODES = ("ll", "exact")
 _BACKGROUND = (2, 1 << 60, 1 << 30)
 
 
@@ -30,13 +29,12 @@ _BACKGROUND = (2, 1 << 60, 1 << 30)
 
 @dataclass
 class Compute:
+    """``remaining`` ticks of work, then ``done(task)`` if given.  A
+    ``monitor`` step is non-preemptible monitor-mode work: budget is checked
+    only at the preemption point when it ends."""
     remaining: int
-
-
-@dataclass
-class Send:
-    channel: object
-    remaining: int
+    done: object = None
+    monitor: bool = False
 
 
 @dataclass
@@ -61,14 +59,6 @@ class Park:
     """Leave the run queue until something wakes the task explicitly."""
 
 
-@dataclass
-class MonitorChunk:
-    """Non-preemptible monitor-mode work; budget is checked only at the
-    preemption point when the chunk ends."""
-    job: object
-    remaining: int
-
-
 class TaskApi:
     """Constructors for workload steps, bound to one task.  Every tick count
     they take must be a non-negative ``int``, and every local time an
@@ -87,9 +77,9 @@ class TaskApi:
     def compute(self, ticks: int) -> Compute:
         return Compute(self._ticks("compute", "ticks", ticks))
 
-    def send(self, channel) -> Send:
+    def send(self, channel) -> Compute:
         """Raises ``MailboxFull`` if the peer has not taken the last message."""
-        return Send(channel, channel.send_work(self.task))
+        return Compute(channel.send_work(self.task), channel.finish_send)
 
     def poll_wait(self, channel) -> PollWait:
         return PollWait(channel)
@@ -114,8 +104,14 @@ class TaskApi:
 
 
 @dataclass
-class PendingWake:
+class LocalTimer:
+    """An event due at local time ``t_local``: a VCPU's budget replenishment
+    of ``amount`` or a task's wakeup.  ``fire`` is its event handler;
+    ``event_id`` is None while the timer is held unposted (see
+    ``Sandbox.post_timer``)."""
     t_local: int
+    fire: object
+    amount: int = 0
     event_id: int | None = None
 
 
@@ -134,7 +130,7 @@ class Task:
         self.ready = False
         self.done = False
         self.io_blocked = False
-        self.pending_wakeups: list[PendingWake] = []
+        self.pending_wakeups: list[LocalTimer] = []
         self.counters: dict[str, int] = {}
         self.rtt_samples: list[tuple[int, int, int]] = []  # (idx, start_local, rtt)
         vcpu.tasks.append(self)
@@ -154,12 +150,12 @@ class Task:
             self.vcpu.ready_q.remove(self)
             self.vcpu.note_eligibility()
 
-
-@dataclass
-class ReplEntry:
-    t_local: int
-    amount: int
-    event_id: int | None = None
+    def _on_wakeup(self, ev):
+        self.pending_wakeups.remove(ev.payload)
+        self.make_ready()
+        sb = self.sandbox
+        sb.sim.trace.add(sb.sim.now, sb.id, "wakeup", self.id, "")
+        sb.touch()
 
 
 @dataclass
@@ -192,7 +188,7 @@ class Vcpu:
         self.highest_priority = highest_priority
         self.index = sandbox.next_vcpu_index()
         self.budget = self.capacity
-        self.repl: list[ReplEntry] = []
+        self.repl: list[LocalTimer] = []
         self.ready_q: deque[Task] = deque()
         self.tasks: list[Task] = []
         self.io_jobs: deque[IoJob] = deque()
@@ -278,33 +274,24 @@ class Vcpu:
         self.queue_replenishment(activation + self.period + overrun, consumed)
 
     def queue_replenishment(self, t_local: int, amount: int):
+        sb = self.sandbox
         if len(self.repl) >= REPL_QUEUE_CAP:
             a, b = self.repl[0], self.repl[1]
             for e in (a, b):
                 if e.event_id is not None:
-                    self.sandbox.sim.cancel_event(e.event_id)
-            merged = ReplEntry(max(a.t_local, b.t_local), a.amount + b.amount)
-            self.repl = [merged] + self.repl[2:]
-            self._post_repl_event(merged)
-        entry = ReplEntry(t_local, amount)
-        self.repl.append(entry)
-        self._post_repl_event(entry)
-
-    def _post_repl_event(self, entry: ReplEntry):
-        if self.migrating:
-            entry.event_id = None
-            return
-        sb = self.sandbox
-        fire = max(sb.sim.now, sb.clock.to_true(entry.t_local))
-        entry.event_id = sb.sim.post_event(
-            fire, "budget-replenishment", sb.id, entry, self._on_replenish)
+                    sb.sim.cancel_event(e.event_id)
+            merged = LocalTimer(max(a.t_local, b.t_local), self._on_replenish,
+                                a.amount + b.amount)
+            self.repl[:2] = [merged]
+            sb.post_timer(self, merged)
+        timer = LocalTimer(t_local, self._on_replenish, amount)
+        self.repl.append(timer)
+        sb.post_timer(self, timer)
 
     def _on_replenish(self, ev):
-        entry = ev.payload
-        if entry not in self.repl:
-            return
-        self.repl.remove(entry)
-        self.budget += entry.amount
+        timer = ev.payload
+        self.repl.remove(timer)
+        self.budget += timer.amount
         sb = self.sandbox
         if self.budget > self.capacity:
             raise SchedulerFault(f"sandbox {sb.id}: VCPU {self.id} budget "
@@ -313,16 +300,14 @@ class Vcpu:
         trace = sb.sim.trace
         if trace.mode != "discard":
             trace.add(sb.sim.now, sb.id, "replenish", self.id,
-                      f"amount={entry.amount};budget={self.budget}")
+                      f"amount={timer.amount};budget={self.budget}")
         sb.touch()
 
-    def pending_event_locals(self) -> list[int]:
-        """Local times of pending replenishments and task wakeups (the
-        candidate next-event times for migration eligibility)."""
-        times = [e.t_local for e in self.repl]
-        for t in self.tasks:
-            times.extend(w.t_local for w in t.pending_wakeups)
-        return times
+    def timers(self) -> list[LocalTimer]:
+        """Pending replenishments, then each task's wakeups: the order in
+        which ``Sandbox.resume_vcpu`` reposts them, which sets their event
+        ids and so their order at a shared tick."""
+        return self.repl + [w for t in self.tasks for w in t.pending_wakeups]
 
     # -- bookkeeping for post-hoc checks ------------------------------------
 
@@ -343,14 +328,6 @@ class Vcpu:
         if self._eligible_since is not None:
             self._write_eligible(t)
             self._eligible_since = t
-
-
-def inherit_priority(io_vcpu: Vcpu, main_vcpu: Vcpu, token: str):
-    """I/O VCPUs run completions at the priority of the Main VCPU that issued
-    the request; concurrent requests inherit the highest such priority."""
-    if io_vcpu.kind != "io":
-        raise NotIoVcpu(io_vcpu.id)
-    io_vcpu.inherited[token] = main_vcpu.priority_key()
 
 
 # --- admission control ---------------------------------------------------
@@ -390,8 +367,7 @@ def admit(existing: list[tuple], capacity, period, mode: str = "ll") -> Admissio
     """Schedulability test for adding a (C, T) VCPU to a sandbox.
 
     ``ll`` uses the rate-monotonic utilization bound n(2^(1/n)-1); ``exact``
-    runs the response-time iteration (utilization may exceed the bound);
-    ``cap`` only requires total utilization <= 1.
+    runs the response-time iteration (utilization may exceed the bound).
     """
     capacity, period = Fraction(capacity), Fraction(period)
     if period <= 0 or capacity <= 0 or capacity > period:
@@ -400,8 +376,6 @@ def admit(existing: list[tuple], capacity, period, mode: str = "ll") -> Admissio
     n = len(existing) + 1
     if mode == "ll":
         accepted = _liu_layland_ok(after, n)
-    elif mode == "cap":
-        accepted = after <= 1
     elif mode == "exact":
         pairs = [(Fraction(c), Fraction(t)) for c, t in existing]
         pairs.append((capacity, period))
@@ -437,7 +411,6 @@ class Sandbox:
         self.spaces: dict[str, object] = {}
         self.running: Vcpu | None = None
         self.chunk_start_true = 0
-        self.monitor_busy = False
         self.blocked_until = 0
         self.pending_ipis: list[tuple[str, object, object]] = []
         self._vcpu_index = 0
@@ -447,6 +420,12 @@ class Sandbox:
         self._by_priority: list[Vcpu] = []  # main VCPUs by static priority key
         self._io_vcpus: list[Vcpu] = []
         sim.sandboxes[sandbox_id] = self
+
+    @property
+    def monitor_busy(self) -> bool:
+        """A monitor-mode step is armed and has ticks left."""
+        timed = self._timed
+        return type(timed) is Compute and timed.monitor and timed.remaining > 0
 
     # -- construction -------------------------------------------------------
 
@@ -554,31 +533,34 @@ class Sandbox:
         until ``resume_vcpu``."""
         v.migrating = True
         v.note_eligibility()
-        for entry in v.repl + [w for t in v.tasks for w in t.pending_wakeups]:
-            if entry.event_id is not None:
-                self.sim.cancel_event(entry.event_id)
-                entry.event_id = None
+        for timer in v.timers():
+            if timer.event_id is not None:
+                self.sim.cancel_event(timer.event_id)
+                timer.event_id = None
 
     def resume_vcpu(self, v: Vcpu, delta_adj: int | None = None) -> list:
-        """Take a VCPU back from migration and post the events it held, first
+        """Take a VCPU back from migration and post the timers it held, first
         moving their local times by ``delta_adj`` (to no earlier than now) if
-        given.  Returns the (kind, local time) of each posted event."""
+        given.  Returns the timers posted."""
         v.migrating = False
         v.note_eligibility()
         now_local = self.now_local()
-        posted = []
-        for entry in v.repl:
+        timers = v.timers()
+        for timer in timers:
             if delta_adj is not None:
-                entry.t_local = max(entry.t_local + delta_adj, now_local)
-            v._post_repl_event(entry)
-            posted.append(("replenish", entry.t_local))
-        for t in v.tasks:
-            for w in t.pending_wakeups:
-                if delta_adj is not None:
-                    w.t_local = max(w.t_local + delta_adj, now_local)
-                self._post_wake(t, w)
-                posted.append(("wakeup", w.t_local))
-        return posted
+                timer.t_local = max(timer.t_local + delta_adj, now_local)
+            self.post_timer(v, timer)
+        return timers
+
+    def post_timer(self, v: Vcpu, timer: LocalTimer):
+        """Post the event of ``timer``, a timer of ``v`` or of one of its
+        tasks; while ``v`` is migrating the timer is held unposted until
+        ``resume_vcpu``."""
+        if v.migrating:
+            return
+        fire = max(self.sim.now, self.clock.to_true(timer.t_local))
+        timer.event_id = self.sim.post_event(fire, "local-timer", self.id, timer,
+                                             timer.fire)
 
     def close_run(self):
         """Close the open execution chunk and eligible intervals at now, so
@@ -590,28 +572,6 @@ class Sandbox:
 
     # -- internals ------------------------------------------------------------
 
-    def schedule_wake(self, task: Task, wake_local: int):
-        """Queue a local-time wakeup.  Wakeups of a migrating VCPU stay
-        pending (no event) until ``resume_vcpu`` posts them."""
-        entry = PendingWake(wake_local)
-        task.pending_wakeups.append(entry)
-        if not task.vcpu.migrating:
-            self._post_wake(task, entry)
-
-    def _post_wake(self, task: Task, entry: PendingWake):
-        fire = max(self.sim.now, self.clock.to_true(entry.t_local))
-        entry.event_id = self.sim.post_event(
-            fire, "task-wakeup", self.id, task,
-            lambda ev: self._on_wakeup(task, entry))
-
-    def _on_wakeup(self, task: Task, entry: PendingWake):
-        if entry not in task.pending_wakeups:
-            return
-        task.pending_wakeups.remove(entry)
-        task.make_ready()
-        self.sim.trace.add(self.sim.now, self.id, "wakeup", task.id, "")
-        self.touch()
-
     def _on_io_arrival(self, task: Task, completion_work: int):
         if not self._io_vcpus:
             task.io_blocked = False
@@ -619,9 +579,11 @@ class Sandbox:
             self.sim.trace.add(self.sim.now, self.id, "io_done", task.id, "direct")
             self.touch()
             return
+        # the I/O VCPU runs the completion at the priority of the task's VCPU;
+        # with several jobs pending it holds the best of their keys
         io_vcpu = self._io_vcpus[0]
         io_vcpu.io_jobs.append(IoJob(task, completion_work))
-        inherit_priority(io_vcpu, task.vcpu, token=task.id)
+        io_vcpu.inherited[task.id] = task.vcpu.priority_key()
         io_vcpu.note_eligibility()
         self.touch()
 
@@ -722,25 +684,24 @@ class Sandbox:
         v.close_chunk()
         if depleted:
             self.sim.trace.add(self.sim.now, self.id, "deplete", v.id, "")
-        self.monitor_busy = False
 
     def _cancel_advance(self):
+        self._timed = None
         if self._advance_event is not None:
             self.sim.cancel_event(self._advance_event)
             self._advance_event = None
 
     def _arm_advance(self, v: Vcpu):
         """Post the event at which ``v``'s current step or budget runs out,
-        replacing the one armed before.  A monitor chunk runs to its end."""
+        replacing the one armed before.  A monitor step runs to its end."""
         self._cancel_advance()
         work = v._queue[0]
         timed = work if type(work) is IoJob else work.step
-        self.monitor_busy = type(timed) is MonitorChunk
-        if self.monitor_busy:
-            dur = timed.remaining
-        elif type(timed) is PollWait:  # budget-bound busy wait
+        if type(timed) is PollWait:  # budget-bound busy wait
             timed = None
             dur = v.budget
+        elif type(timed) is Compute and timed.monitor:
+            dur = timed.remaining
         else:
             dur = min(v.budget, timed.remaining)
         if dur <= 0:
@@ -777,11 +738,8 @@ class Sandbox:
         task = v.current_work()
         st = task.step
         task.step = None
-        if isinstance(st, Send):
-            st.channel.finish_send(task, self.sim.now)
-        elif isinstance(st, MonitorChunk):
-            self.monitor_busy = False
-            st.job.engine.on_chunk_done(task, st)
+        if st.done is not None:
+            st.done(task)
 
     def _resolve_instant(self, v: Vcpu) -> bool | None:
         """Complete the zero-length work at the head of ``v``'s queue (finished
@@ -824,7 +782,7 @@ class Sandbox:
             task.done = True
             task.leave_ready()
             return
-        if isinstance(st, (Compute, Send, PollWait, MonitorChunk)):
+        if isinstance(st, (Compute, PollWait)):
             task.step = st
             return
         if not isinstance(st, (SleepUntil, BlockIo, Park)):
@@ -832,7 +790,9 @@ class Sandbox:
                                   f"{st!r}, which is not a workload step")
         task.leave_ready()
         if isinstance(st, SleepUntil):
-            self.schedule_wake(task, st.t_local)
+            timer = LocalTimer(st.t_local, task._on_wakeup)
+            task.pending_wakeups.append(timer)
+            self.post_timer(task.vcpu, timer)
         elif isinstance(st, BlockIo):
             task.io_blocked = True
             self.sim.post_event(

@@ -15,6 +15,7 @@ A trace's mode says what it keeps:
 
 from __future__ import annotations
 
+import io
 from hashlib import blake2b
 from typing import NamedTuple
 
@@ -78,9 +79,19 @@ class SimTrace:
         if self.mode not in modes:
             raise RowsNotKept(f"this trace was built with mode {self.mode!r}")
 
-    def to_csv(self) -> str:
+    def write_csv(self, fh):
+        """Write the CSV to the text file ``fh``, ``HASH_BLOCK_ROWS`` lines
+        at a time, so that no more than one block is held as text."""
         self._refuse_unless("rows")
-        return _HEADER + "".join([_line(*row) for row in self.rows])
+        fh.write(_HEADER)
+        rows = self.rows
+        for i in range(0, len(rows), HASH_BLOCK_ROWS):
+            fh.write("".join([_line(*row) for row in rows[i:i + HASH_BLOCK_ROWS]]))
+
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        self.write_csv(buf)
+        return buf.getvalue()
 
     def hash(self) -> int:
         """BLAKE2b-64 of the CSV bytes of the rows added so far, as a

@@ -12,7 +12,7 @@ from mqsim.errors import (PastTimestamp, RowsNotKept, SelfIpi, UnknownSandbox,
                           ValidationError)
 from mqsim.experiments import run_table1
 from mqsim.scenario import build, builtin_scenario, load_scenario
-from mqsim.sched import Sandbox
+from mqsim.sched import Compute, Sandbox
 from mqsim.trace import HASH_BLOCK_ROWS, SimTrace
 from mqsim.workloads import busy_loop
 from trace_corpus import blake2b64, fnv1a64, run_setup
@@ -27,6 +27,19 @@ def trace_of(rows) -> SimTrace:
 
 def collector(sim, log):
     return lambda ev: log.append((sim.now, ev.kind, ev.payload))
+
+
+def arm_monitor_step(sb, ticks):
+    """Run a task on ``sb`` whose first step is ``ticks`` of monitor-mode
+    work, armed from now."""
+    v = sb.add_vcpu("v", 2 * ticks, 10 * ticks)
+
+    def program(api):
+        yield Compute(ticks, monitor=True)
+        yield api.park()
+
+    sb.add_task("t", v, program=program)
+    sb.touch()
 
 
 def test_event_order_and_tiebreak():
@@ -207,14 +220,17 @@ class TestIpi:
         sim = Simulator()
         Sandbox(sim, "a")
         dst = Sandbox(sim, "b")
-        dst.monitor_busy = True
+        arm_monitor_step(dst, 1500)
+        assert dst.monitor_busy
         got = []
         sim.send_ipi("a", "b", handler=lambda sb, src, p: got.append(sim.now))
         sim.run_until(1000)
         assert got == []
         assert len(dst.pending_ipis) == 1
-        dst.monitor_busy = False
-        sim.run_until(2000)
+        assert dst.monitor_busy
+        sim.run_until(2000)  # the step ended at 1,500; nothing drained the queue
+        assert not dst.monitor_busy
+        assert got == []
         dst.drain_ipis()
         assert got == [2000]
 
@@ -222,13 +238,17 @@ class TestIpi:
         sim = Simulator()
         Sandbox(sim, "a")
         dst = Sandbox(sim, "b")
-        dst.monitor_busy = True
+        arm_monitor_step(dst, 1000)
         got = []
         for p in (1, 2):
             sim.send_ipi("a", "b", payload=p,
                          handler=lambda sb, src, p: got.append((sim.now, p)))
-        sim.run_until(1000)
-        dst.monitor_busy = False
+        sim.run_until(999)
+        assert dst.monitor_busy
+        sim.run_until(1000)  # the step ends; the two IPIs stay queued
+        assert not dst.monitor_busy
+        assert [p for _, p, _ in dst.pending_ipis] == [1, 2]
+        assert got == []
         sim.send_ipi("a", "b", payload=3,
                      handler=lambda sb, src, p: got.append((sim.now, p)))
         sim.run_until(2000)
@@ -313,6 +333,23 @@ class TestTrace:
             1, HASH_BLOCK_ROWS, HASH_BLOCK_ROWS, 1]
         assert b"".join(fed) == trace.to_csv().encode()
         assert h == blake2b64(trace.to_csv().encode())
+
+    def test_write_csv_writes_blocks_of_rows(self):
+        """``write_csv`` writes the header, then the lines ``HASH_BLOCK_ROWS``
+        at a time: the bytes of ``to_csv``, never built as one string."""
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+
+        trace = trace_of((t, "sb1", "msg_send", f"c{t % 7}", "é" * (t % 3))
+                         for t in range(2 * HASH_BLOCK_ROWS + 5))
+        trace.write_csv(Recorder())
+        assert [text.count("\n") for text in writes] == [
+            1, HASH_BLOCK_ROWS, HASH_BLOCK_ROWS, 5]
+        assert "".join(writes) == trace.to_csv()
+        assert "".join(writes).encode() == csv_bytes(trace)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(

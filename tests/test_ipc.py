@@ -101,20 +101,20 @@ class TestMailbox:
 
     def test_send_to_full_mailbox_rejected(self):
         sim, ch, snd, rcv = pair(idle=True)
-        ch.finish_send(snd, 0)
+        ch.finish_send(snd)
         with pytest.raises(MailboxFull):
             ch.send_work(snd)
 
     def test_message_consumed_once(self):
         sim, ch, snd, rcv = pair(idle=True)
-        ch.finish_send(snd, 0)
+        ch.finish_send(snd)
         assert ch.take(rcv) is not None
         assert ch.take(rcv) is None
 
     def test_cached_send_cost_still_checks_the_outbox(self):
         sim, ch, snd, rcv = pair(idle=True)
         assert ch.send_work(snd) == 5
-        ch.finish_send(snd, 0)
+        ch.finish_send(snd)
         with pytest.raises(MailboxFull):
             ch.send_work(snd)
         assert ch.send_work(rcv) == 4

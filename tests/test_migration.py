@@ -230,6 +230,32 @@ class TestCompletion:
                  and r.entity == "nap" and r.sandbox == "sb2"]
         assert wakes and wakes[0].t == 500_000
 
+    def test_held_replenishment_reposted_before_wakeup_at_a_shared_tick(self):
+        """A replenishment and a wakeup held across a migration and due at the
+        same adjusted local time fire at the destination in repost order,
+        replenishment first, although the source posted the wakeup first."""
+        sim, eng, sb1, sb2, vc, task = rig(sb2_offset=10_000)
+
+        def napper(api):
+            start = api.local_now()
+            yield api.compute(1_000)
+            yield api.sleep_until(start + 50_000)  # when the chunk's budget returns
+            yield api.park()
+
+        v2 = sb1.add_vcpu("napv", 5_000, 50_000)
+        sb1.add_task("nap", v2, program=napper)
+        sb1.spaces["nap_as"] = AddressSpace("nap_as", total_pages=2,
+                                            task_controls=["nap"])
+        sb1.touch()  # napper preempts the busy loop at 0 and sleeps at 1,000
+        sim.run_until(5_000)
+        job = eng.request_migration("sb1", "sb2", "nap_as")
+        assert job.e_s == 45_000  # both timers are due at local 50,000
+        sim.run_until(100_000)
+        assert job.state == "completed" and job.delta_adj == 10_000
+        fired = [(r.sandbox, r.kind, r.entity) for r in sim.trace.rows
+                 if r.t == 50_000 and r.kind in ("replenish", "wakeup")]
+        assert fired == [("sb2", "replenish", "napv"), ("sb2", "wakeup", "nap")]
+
 
 class TestRejection:
     def test_overloaded_destination_rejects_and_requeues(self):
@@ -308,8 +334,8 @@ class TestOverrun:
     def test_single_chunk_over_budget_defers_replenishment(self):
         sim = Simulator(CostModel(), trace="rows")
         eng = MigrationEngine(sim)
-        sb1 = Sandbox(sim, "sb1", admission_mode="cap")
-        sb2 = Sandbox(sim, "sb2", admission_mode="cap")
+        sb1 = Sandbox(sim, "sb1")
+        sb2 = Sandbox(sim, "sb2")
         for sb in (sb1, sb2):
             # migration thread with a budget smaller than one copy chunk
             mig = sb.add_vcpu(f"mig.{sb.id}", 500, 5_000, highest_priority=True)

@@ -145,10 +145,11 @@ class TestValidation:
             load_scenario(raw)
 
     def test_unknown_admission_mode(self):
-        raw = table1()
-        raw["sandboxes"][0]["admission"] = "exactt"
-        with pytest.raises(ValidationError, match="admission"):
-            load_scenario(raw)
+        for mode in ("exactt", "cap"):
+            raw = table1()
+            raw["sandboxes"][0]["admission"] = mode
+            with pytest.raises(ValidationError, match="admission"):
+                load_scenario(raw)
 
     def test_unknown_admission_mode_without_main_vcpus(self):
         raw = table1()

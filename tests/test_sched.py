@@ -7,13 +7,11 @@ import pytest
 
 from mqsim.clock import SandboxClock
 from mqsim.core import CostModel, Simulator
-from mqsim.errors import (MalformedVcpu, NotIoVcpu, OverConsume, SchedulerFault,
-                          ValidationError)
+from mqsim.errors import MalformedVcpu, OverConsume, SchedulerFault, ValidationError
 from mqsim.ipc import ExchangeProfile, establish_channel
 from mqsim.metrics import (IntervalSet, budget_law_violations, finish_run,
                            replenishment_conserved)
-from mqsim.sched import (REPL_QUEUE_CAP, Sandbox, Vcpu, admit,
-                         inherit_priority)
+from mqsim.sched import REPL_QUEUE_CAP, Sandbox, Vcpu, admit
 from mqsim.workloads import (busy_loop, io_cycle, periodic_logger, pingpong_receiver,
                              pingpong_sender)
 from trace_corpus import CORPUS_SEEDS, run_setup
@@ -334,10 +332,6 @@ class TestAdmission:
         verdict = admit(existing, 20, 100, mode="exact")
         assert verdict.accepted
 
-    def test_cap_mode(self):
-        assert admit([(50, 100)], 50, 100, mode="cap").accepted
-        assert not admit([(50, 100)], 51, 100, mode="cap").accepted
-
     def test_malformed_candidate(self):
         with pytest.raises(MalformedVcpu):
             admit([], 30, 20)
@@ -362,22 +356,6 @@ class TestAdmission:
 
 
 class TestPriorityInheritance:
-    def test_io_vcpu_must_be_io(self):
-        sim, sb = mini()
-        main = sb.add_vcpu("m", 10, 50)
-        with pytest.raises(NotIoVcpu):
-            inherit_priority(main, main, token="m")
-
-    def test_max_inheritance(self):
-        sim, sb = mini()
-        io = sb.add_vcpu("io", 5, 100, kind="io")
-        short = sb.add_vcpu("short", 10, 50)
-        long = sb.add_vcpu("long", 20, 200)
-        inherit_priority(io, long, token="long")
-        assert io.priority_key() == long.priority_key()
-        inherit_priority(io, short, token="short")
-        assert io.priority_key() == short.priority_key()  # max of the two
-
     def test_completed_job_gives_up_its_key(self):
         """Through dispatch: the I/O VCPU holds the best key of its pending
         jobs' VCPUs and gives a job's key up when that job completes."""
