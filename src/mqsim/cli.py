@@ -20,6 +20,7 @@ one finishes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -87,27 +88,30 @@ def _cmd_run(args) -> int:
     sc = load_scenario(source)
     for w in sc.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    built = build(sc, "rows" if args.out else "hash")
+    built = build(sc)
     sampler = Sampler(built.sim, sc.sample_period_us)
     for name, task in built.tasks.items():
         sampler.add_counter(f"counters.{name}",
                             lambda t=task: sum(t.counters.values()))
     sampler.start()
     until = int(args.until * 1_000_000) if args.until else sc.run_until_us
-    built.sim.run_until(until)
-    finish_run(built.sim)
+    with contextlib.ExitStack() as stack:
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)
+            fh = stack.enter_context(open(os.path.join(args.out, "trace.csv"), "w"))
+            stack.enter_context(built.sim.trace.export(fh))
+        built.sim.run_until(until)
+        finish_run(built.sim)
     summary = {
         "trace_hash": f"{built.sim.trace.hash():016x}",
         "trace_rows": built.sim.trace.row_count,
+        "events": built.sim.event_counts(),
         "until_us": until,
         "migrations": [t.job.summary() for t in built.triggers if t.job],
     }
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "metrics.csv"), "w") as fh:
             fh.write(sampler.to_csv())
-        with open(os.path.join(args.out, "trace.csv"), "w") as fh:
-            built.sim.trace.write_csv(fh)
         with open(os.path.join(args.out, "summary.json"), "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True, default=str)
     print(json.dumps(summary, indent=2, sort_keys=True, default=str))

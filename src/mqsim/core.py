@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from operator import itemgetter
 
 from mqsim.errors import PastTimestamp, SelfIpi, UnknownSandbox, ValidationError
 from mqsim.trace import SimTrace
@@ -44,25 +43,17 @@ class CostModel:
         return self.vmexit_cost + self.vmentry_cost + self.migration_sched_overhead
 
 
-class SimEvent(tuple):
-    """A posted event.  It is its own heap entry: the tuple
-    ``(fire_at, event_id, kind, sandbox_id, payload, handler)`` orders by
-    fire time, then by id, and ids count up in posting order."""
-    __slots__ = ()
-    fire_at = property(itemgetter(0))
-    event_id = property(itemgetter(1))
-    kind = property(itemgetter(2))
-    sandbox_id = property(itemgetter(3))
-    payload = property(itemgetter(4))
-    handler = property(itemgetter(5))
-
-
-_new_event = tuple.__new__
+def _no_op(payload):
+    pass
 
 
 class Simulator:
     """Global event queue plus the sandbox registry.  ``trace`` is the mode
-    of its trace: "discard", "hash" or "rows" (see ``SimTrace``)."""
+    of its trace: "discard", "hash" or "rows" (see ``SimTrace``).  An event
+    is its heap entry ``[fire_at, event_id, handler, payload, kind,
+    sandbox_id]``; ids count up in posting order.  Firing or cancelling an
+    event marks its entry by setting the handler to None, and drops the
+    payload, which may hold the handle (a ``LocalTimer`` does)."""
 
     def __init__(self, cost_model: CostModel | None = None, trace: str = "hash"):
         self.now = 0
@@ -70,31 +61,42 @@ class Simulator:
         self.trace = SimTrace(trace)
         self.sandboxes: dict[str, object] = {}
         self.channels: dict[tuple, object] = {}
-        self._heap: list[SimEvent] = []
+        self._heap: list[list] = []
         self._next_id = 1
-        self._live: set[int] = set()  # ids posted and neither fired nor cancelled
+        self._cancelled = 0
 
     # -- event queue -------------------------------------------------------
 
     def post_event(self, fire_at: int, kind: str, sandbox_id: str = "",
-                   payload=None, handler=None) -> int:
-        """Enqueue an event; events with equal fire times dispatch in posting
-        order.  Cancellable until fired.  ``handler`` is called with the
-        ``SimEvent``."""
+                   payload=None, handler=None) -> list:
+        """Enqueue an event and return its handle; events with equal fire
+        times dispatch in posting order.  ``handler(payload)`` runs when it
+        fires; an event without a handler still moves the clock and is seen
+        by ``run_until``'s ``stop``."""
         if fire_at < self.now:
             raise PastTimestamp(f"fire_at {fire_at} is before now {self.now}")
-        event_id = self._next_id
-        self._next_id = event_id + 1
-        heappush(self._heap, _new_event(
-            SimEvent, (fire_at, event_id, kind, sandbox_id, payload, handler)))
-        self._live.add(event_id)
-        return event_id
+        entry = [fire_at, self._next_id, _no_op if handler is None else handler,
+                 payload, kind, sandbox_id]
+        self._next_id += 1
+        heappush(self._heap, entry)
+        return entry
 
-    def cancel_event(self, event_id: int) -> bool:
-        if event_id in self._live:
-            self._live.remove(event_id)
-            return True
-        return False
+    def cancel_event(self, handle: list) -> bool:
+        """Cancel the event ``handle``; False if it already fired or was
+        cancelled."""
+        if handle[2] is None:
+            return False
+        handle[2] = handle[3] = None
+        self._cancelled += 1
+        return True
+
+    def event_counts(self) -> dict:
+        """Events posted so far, and how many of them were cancelled, fired
+        or are still pending."""
+        posted = self._next_id - 1
+        pending = sum(1 for entry in self._heap if entry[2] is not None)
+        return {"posted": posted, "cancelled": self._cancelled,
+                "fired": posted - self._cancelled - pending, "pending": pending}
 
     def run_until(self, t_true: int, stop=None) -> SimTrace:
         """Dispatch every pending event with fire_at <= t_true, in
@@ -105,15 +107,16 @@ class Simulator:
         later ``run_until`` dispatches the events still pending."""
         if t_true < self.now:
             raise PastTimestamp(f"cannot run backwards to {t_true}")
-        heap, live = self._heap, self._live
+        heap = self._heap
         while heap and heap[0][0] <= t_true:
-            ev = heappop(heap)
-            if ev[1] not in live:
+            entry = heappop(heap)
+            handler = entry[2]
+            if handler is None:
                 continue
-            live.remove(ev[1])
-            self.now = ev[0]
-            if ev[5] is not None:
-                ev[5](ev)
+            payload = entry[3]
+            entry[2] = entry[3] = None
+            self.now = entry[0]
+            handler(payload)
             if stop is not None and stop():
                 return self.trace
         self.now = t_true
@@ -135,7 +138,7 @@ class Simulator:
         sb.charge_running(self.cost.rdtsc_cost)
         return value
 
-    def send_ipi(self, src: str, dst: str, payload=None, handler=None) -> int:
+    def send_ipi(self, src: str, dst: str, payload=None, handler=None) -> list:
         """Schedule an inter-processor interrupt.  Delivery happens a fixed
         ipi_cost later in the destination kernel; a destination inside a
         monitor-mode section sees it at the next preemption point."""
@@ -146,4 +149,4 @@ class Simulator:
 
         return self.post_event(self.now + self.cost.ipi_cost, "ipi-delivery",
                                dst, payload,
-                               lambda ev: dest.receive_ipi(src, payload, handler))
+                               lambda _: dest.receive_ipi(src, payload, handler))

@@ -23,7 +23,8 @@ class SelfIpi(MqsimError):
 
 class RowsNotKept(MqsimError):
     """A trace was asked for bytes its mode does not keep: the CSV of a trace
-    that keeps no rows, or the hash of one that discards them."""
+    that keeps no rows, the hash of one that discards them, or an export
+    started after a block of rows was hashed."""
 
 
 # --- scheduling ---

@@ -65,7 +65,7 @@ class Channel:
 
     def send_work(self, task) -> int:
         """Execution ticks ``task``'s send costs; checked at send start."""
-        side = self._side(task)
+        side = 0 if task is self.task_a else 1 if task is self.task_b else self._side(task)
         if self.full[1 - side]:
             raise MailboxFull(f"channel {self.id}: previous message not consumed")
         return self.profile.response_work if side else self.profile.request_work
@@ -73,13 +73,13 @@ class Channel:
     def finish_send(self, task):
         """Transmission complete: flip the status bit and, if the peer is
         polling on CPU right now, hand the message over immediately."""
-        side = self._side(task)
+        side = 0 if task is self.task_a else 1 if task is self.task_b else self._side(task)
         self.full[1 - side] = True
         now = self.sim.now
         self.sim.trace.add(now, task.sandbox.id, "msg_send", task.id, self._trace_detail)
         peer = self.task_a if side else self.task_b
         sb = peer.sandbox
-        if (isinstance(peer.step, PollWait) and peer.step.channel is self
+        if (type(peer.step) is PollWait and peer.step.channel is self
                 and sb.running is peer.vcpu and sb.running.current_work() is peer
                 and sb.blocked_until <= now):
             self.take(peer)
@@ -89,7 +89,7 @@ class Channel:
         """Consume the pending message: True, or None when the mailbox is
         empty (no cost: the attempt's cost is charged by the caller's
         polling loop)."""
-        side = self._side(task)
+        side = 0 if task is self.task_a else 1 if task is self.task_b else self._side(task)
         if not self.full[side]:
             return None
         self.full[side] = False

@@ -44,7 +44,7 @@ class Sampler:
     def _arm(self):
         self._tick += 1
         t = self._tick * self.period
-        self.sim.post_event(t, "sample-tick", "", None, lambda ev: self._fire())
+        self.sim.post_event(t, "sample-tick", "", None, lambda _: self._fire())
 
     def _fire(self):
         t_s = self.sim.now // self.period

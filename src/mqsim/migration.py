@@ -218,7 +218,7 @@ class MigrationEngine:
         job.tsc_s = self.sim.read_tsc(source)
         self.sim.post_event(
             self.sim.now + self.sim.cost.rdtsc_cost, "mig-ipi-send", source, job,
-            lambda ev: self.sim.send_ipi(source, destination, job,
+            lambda _: self.sim.send_ipi(source, destination, job,
                                          handler=self._on_request_ipi))
         src.touch()
         return job
@@ -227,7 +227,7 @@ class MigrationEngine:
         # the destination's own read finishes one read-latency after delivery
         self.sim.post_event(self.sim.now + self.sim.cost.rdtsc_cost,
                             "mig-tsc-read", dst.id, job,
-                            lambda ev: self._after_tsc_read(dst, job))
+                            lambda _: self._after_tsc_read(dst, job))
 
     def _after_tsc_read(self, dst, job: MigrationJob):
         job.tsc_d = self.sim.read_tsc(dst.id)
@@ -298,7 +298,7 @@ class MigrationEngine:
         self.sim.trace.add(self.sim.now, src.id, "mig_requeue", job.space_id, "")
         if job.retries == 0:
             self.sim.post_event(self.sim.now + job.vcpu.period, "mig-retry", src.id,
-                                job, lambda ev: self._retry(job))
+                                job, lambda _: self._retry(job))
 
     def _retry(self, job: MigrationJob):
         try:

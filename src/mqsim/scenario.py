@@ -331,7 +331,7 @@ class MigrationTrigger:
         self.job = None
         self.seen_eligible = False
         built.sim.post_event(spec["at_s"], "mig-trigger", spec["from"], None,
-                             lambda ev: self._check())
+                             lambda _: self._check())
 
     def _check(self):
         sim = self.built.sim
@@ -344,10 +344,10 @@ class MigrationTrigger:
         elif self.seen_eligible:
             delay = self.spec["delay_after_depletion_us"]
             sim.post_event(sim.now + delay, "mig-trigger", self.spec["from"],
-                           None, lambda ev: self._fire())
+                           None, lambda _: self._fire())
             return
         sim.post_event(sim.now + self.CHECK_STEP, "mig-trigger",
-                       self.spec["from"], None, lambda ev: self._check())
+                       self.spec["from"], None, lambda _: self._check())
 
     def _fire(self):
         try:

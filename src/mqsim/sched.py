@@ -107,12 +107,12 @@ class TaskApi:
 class LocalTimer:
     """An event due at local time ``t_local``: a VCPU's budget replenishment
     of ``amount`` or a task's wakeup.  ``fire`` is its event handler;
-    ``event_id`` is None while the timer is held unposted (see
-    ``Sandbox.post_timer``)."""
+    ``event`` is the posted event's handle, None while the timer is held
+    unposted (see ``Sandbox.post_timer``)."""
     t_local: int
     fire: object
     amount: int = 0
-    event_id: int | None = None
+    event: list | None = None
 
 
 class Task:
@@ -150,8 +150,8 @@ class Task:
             self.vcpu.ready_q.remove(self)
             self.vcpu.note_eligibility()
 
-    def _on_wakeup(self, ev):
-        self.pending_wakeups.remove(ev.payload)
+    def _on_wakeup(self, timer: LocalTimer):
+        self.pending_wakeups.remove(timer)
         self.make_ready()
         sb = self.sandbox
         sb.sim.trace.add(sb.sim.now, sb.id, "wakeup", self.id, "")
@@ -167,10 +167,10 @@ class IoJob:
 class Vcpu:
     """Sporadic-server resource container (Main or I/O).
 
-    ``note_eligibility`` records ``eligible()`` wherever one of its inputs
-    changes (budget, queue, ``migrating``, dispatch floor); the scheduler's
-    pick reads that record (``_eligible_since``) instead of evaluating.
-    ``migrating`` is set only by ``Sandbox.hold_vcpu``/``resume_vcpu``.
+    ``note_eligibility`` records ``eligible()`` wherever a change to one of
+    its inputs (budget, queue, ``migrating``, dispatch floor) can change it;
+    the scheduler's pick reads that record (``_eligible_since``) instead of
+    evaluating.  ``migrating`` is set only by ``Sandbox.hold_vcpu``/``resume_vcpu``.
     """
 
     def __init__(self, sandbox, vcpu_id: str, capacity: int, period: int,
@@ -225,9 +225,9 @@ class Vcpu:
 
     def note_eligibility(self):
         """Record ``eligible()`` at the current time; called after every
-        change to one of its inputs.  Only the last record at a tick counts:
-        zero-length intervals are dropped and intervals meeting at a tick
-        are merged."""
+        change to one of its inputs that can change it.  Only the last
+        record at a tick counts: zero-length intervals are dropped and
+        intervals meeting at a tick are merged."""
         if self.eligible():
             if self._eligible_since is None:
                 self._eligible_since = self.sandbox.sim.now
@@ -241,13 +241,9 @@ class Vcpu:
 
     # -- budget accounting --------------------------------------------------
 
-    def begin_chunk(self, now_local: int):
-        if self.chunk_activation_local is None:
-            self.chunk_activation_local = now_local
-            self.chunk_consumed = 0
-
     def consume(self, amount: int, allow_overrun: bool = False):
-        """Charge execution to the open chunk."""
+        """Charge execution to the open chunk.  A charge can change
+        ``eligible()`` only by taking the budget below the dispatch floor."""
         if amount == 0:
             return
         if self.chunk_activation_local is None:
@@ -257,29 +253,16 @@ class Vcpu:
         self.budget -= amount
         self.chunk_consumed += amount
         self.total_consumed += amount
-        self.note_eligibility()
-
-    def close_chunk(self):
-        """End the contiguous execution chunk and queue its replenishment at
-        activation + T, deferred by any overrun."""
-        if self.chunk_activation_local is None:
-            return
-        activation = self.chunk_activation_local
-        consumed = self.chunk_consumed
-        self.chunk_activation_local = None
-        self.chunk_consumed = 0
-        if consumed <= 0:
-            return
-        overrun = max(0, -self.budget)
-        self.queue_replenishment(activation + self.period + overrun, consumed)
+        if self.budget < self._dispatch_floor and self._eligible_since is not None:
+            self.note_eligibility()
 
     def queue_replenishment(self, t_local: int, amount: int):
         sb = self.sandbox
         if len(self.repl) >= REPL_QUEUE_CAP:
             a, b = self.repl[0], self.repl[1]
             for e in (a, b):
-                if e.event_id is not None:
-                    sb.sim.cancel_event(e.event_id)
+                if e.event is not None:
+                    sb.sim.cancel_event(e.event)
             merged = LocalTimer(max(a.t_local, b.t_local), self._on_replenish,
                                 a.amount + b.amount)
             self.repl[:2] = [merged]
@@ -288,8 +271,7 @@ class Vcpu:
         self.repl.append(timer)
         sb.post_timer(self, timer)
 
-    def _on_replenish(self, ev):
-        timer = ev.payload
+    def _on_replenish(self, timer: LocalTimer):
         self.repl.remove(timer)
         self.budget += timer.amount
         sb = self.sandbox
@@ -414,7 +396,7 @@ class Sandbox:
         self.blocked_until = 0
         self.pending_ipis: list[tuple[str, object, object]] = []
         self._vcpu_index = 0
-        self._advance_event: int | None = None
+        self._advance_event: list | None = None  # the armed advance's handle
         self._advance_handler = self._on_advance
         self._timed = None  # the IoJob or step whose ``remaining`` runs down
         self._by_priority: list[Vcpu] = []  # main VCPUs by static priority key
@@ -501,11 +483,12 @@ class Sandbox:
         scheduled on this sandbox until it ends.  ``then()`` runs when it
         ends, after queued IPIs are delivered and before the sandbox
         dispatches."""
-        self._settle()
-        self._stop_running()
+        if self.running is not None:
+            self._settle()
+            self._stop_running()
         self.blocked_until = self.sim.now + duration
         self.sim.post_event(self.blocked_until, "kernel-unblock", self.id,
-                            None, lambda ev: self._on_unblock(then))
+                            None, lambda _: self._on_unblock(then))
 
     def receive_ipi(self, src: str, payload, handler):
         """IPIs are handled in the kernel, in arrival order; while a monitor
@@ -534,9 +517,9 @@ class Sandbox:
         v.migrating = True
         v.note_eligibility()
         for timer in v.timers():
-            if timer.event_id is not None:
-                self.sim.cancel_event(timer.event_id)
-                timer.event_id = None
+            if timer.event is not None:
+                self.sim.cancel_event(timer.event)
+                timer.event = None
 
     def resume_vcpu(self, v: Vcpu, delta_adj: int | None = None) -> list:
         """Take a VCPU back from migration and post the timers it held, first
@@ -558,15 +541,16 @@ class Sandbox:
         ``resume_vcpu``."""
         if v.migrating:
             return
-        fire = max(self.sim.now, self.clock.to_true(timer.t_local))
-        timer.event_id = self.sim.post_event(fire, "local-timer", self.id, timer,
-                                             timer.fire)
+        now, fire = self.sim.now, self.clock.to_true(timer.t_local)
+        timer.event = self.sim.post_event(fire if fire > now else now, "local-timer",
+                                          self.id, timer, timer.fire)
 
     def close_run(self):
         """Close the open execution chunk and eligible intervals at now, so
         post-run bookkeeping (conservation, intervals) is exact."""
-        self._settle()
-        self._stop_running()
+        if self.running is not None:
+            self._settle()
+            self._stop_running()
         for v in self.vcpus.values():
             v.close_eligible(self.sim.now)
 
@@ -624,11 +608,11 @@ class Sandbox:
         while True:
             best = None if self.blocked_until > self.sim.now else self._pick()
             if best is not self.running:
-                self._stop_running()
+                if self.running is not None:
+                    self._stop_running()
                 if best is not None:
                     self._start_running(best)
-            if best is None:
-                self._cancel_advance()
+            if best is None:  # nothing runs, so no advance is armed
                 return
             completed = self._resolve_instant(best)
             if completed is None:
@@ -645,8 +629,8 @@ class Sandbox:
         now = self.sim.now
         dt = now - self.chunk_start_true
         if dt:
-            v.consume(dt, allow_overrun=self.monitor_busy)
-            timed = self._timed
+            timed = self._timed  # a monitor step may overrun (``monitor_busy``)
+            v.consume(dt, type(timed) is Compute and timed.monitor and timed.remaining > 0)
             if timed is not None:
                 timed.remaining -= dt
                 if timed.remaining < 0:
@@ -661,40 +645,41 @@ class Sandbox:
             self.chunk_start_true = now
 
     def _start_running(self, v: Vcpu):
+        """Put ``v`` on the CPU and open its execution chunk."""
         self.running = v
         self.chunk_start_true = self.sim.now
-        v.begin_chunk(self.now_local())
+        v.chunk_activation_local = self.clock.to_local(self.sim.now)
         trace = self.sim.trace
         if trace.mode != "discard":
-            work = v.current_work()
-            entity = work.id if isinstance(work, Task) else (
-                work.task.id if isinstance(work, IoJob) else "")
+            work = v._queue[0] if v._queue else None
+            entity = work.id if type(work) is Task else (
+                work.task.id if type(work) is IoJob else "")
             trace.add(self.sim.now, self.id, "ctx_switch", v.id,
                       f"task={entity};budget={v.budget}")
 
     def _stop_running(self):
-        """Take the running VCPU off the CPU.  Callers settle it up to now
-        first; every settle after the first at one instant charges nothing."""
+        """Take the running VCPU off the CPU and queue its chunk's
+        replenishment at activation + T, deferred by any overrun.  Callers
+        check that a VCPU runs, and settle it up to now first."""
         v = self.running
-        if v is None:
-            return
         self.running = None
-        self._cancel_advance()
-        depleted = v.budget <= 0
-        v.close_chunk()
-        if depleted:
-            self.sim.trace.add(self.sim.now, self.id, "deplete", v.id, "")
-
-    def _cancel_advance(self):
         self._timed = None
         if self._advance_event is not None:
             self.sim.cancel_event(self._advance_event)
             self._advance_event = None
+        activation, consumed = v.chunk_activation_local, v.chunk_consumed
+        v.chunk_activation_local, v.chunk_consumed = None, 0
+        if consumed > 0:
+            overrun = -v.budget if v.budget < 0 else 0
+            v.queue_replenishment(activation + v.period + overrun, consumed)
+        if v.budget <= 0:
+            self.sim.trace.add(self.sim.now, self.id, "deplete", v.id, "")
 
     def _arm_advance(self, v: Vcpu):
         """Post the event at which ``v``'s current step or budget runs out,
         replacing the one armed before.  A monitor step runs to its end."""
-        self._cancel_advance()
+        if self._advance_event is not None:
+            self.sim.cancel_event(self._advance_event)
         work = v._queue[0]
         timed = work if type(work) is IoJob else work.step
         if type(timed) is PollWait:  # budget-bound busy wait
@@ -703,7 +688,7 @@ class Sandbox:
         elif type(timed) is Compute and timed.monitor:
             dur = timed.remaining
         else:
-            dur = min(v.budget, timed.remaining)
+            dur = v.budget if v.budget < timed.remaining else timed.remaining
         if dur <= 0:
             raise SchedulerFault(f"sandbox {self.id}: VCPU {v.id} armed an advance "
                                  f"of {dur} ticks (budget {v.budget}, step {timed})")
@@ -711,18 +696,20 @@ class Sandbox:
         self._advance_event = self.sim.post_event(
             self.sim.now + dur, "advance", self.id, None, self._advance_handler)
 
-    def _on_advance(self, ev):
+    def _on_advance(self, _):
         """The running VCPU's step or budget ran out: complete the step, stop
-        the VCPU if its budget is gone, and dispatch."""
+        the VCPU if its budget is gone (a monitor step with ticks left runs
+        on), and dispatch."""
         self._advance_event = None
         self._settle()
         v, timed = self.running, self._timed
         if timed is not None and timed.remaining == 0:
-            if isinstance(timed, IoJob):
+            if type(timed) is IoJob:
                 self._complete_io(v)
             else:
                 self._complete_step(v)
-        if self.running is v and v.budget <= 0 and not self.monitor_busy:
+        if self.running is v and v.budget <= 0 and not (
+                type(timed) is Compute and timed.monitor and timed.remaining):
             self._stop_running()
         self._dispatch()
 
@@ -735,7 +722,7 @@ class Sandbox:
         self.sim.trace.add(self.sim.now, self.id, "io_done", job.task.id, "")
 
     def _complete_step(self, v: Vcpu):
-        task = v.current_work()
+        task = v._queue[0]
         st = task.step
         task.step = None
         if st.done is not None:
@@ -782,19 +769,20 @@ class Sandbox:
             task.done = True
             task.leave_ready()
             return
-        if isinstance(st, (Compute, PollWait)):
+        kind = type(st)
+        if kind is Compute or kind is PollWait:
             task.step = st
             return
-        if not isinstance(st, (SleepUntil, BlockIo, Park)):
+        if kind is not SleepUntil and kind is not BlockIo and kind is not Park:
             raise ValidationError(f"sandbox {self.id}: task {task.id} yielded "
                                   f"{st!r}, which is not a workload step")
         task.leave_ready()
-        if isinstance(st, SleepUntil):
+        if kind is SleepUntil:
             timer = LocalTimer(st.t_local, task._on_wakeup)
             task.pending_wakeups.append(timer)
             self.post_timer(task.vcpu, timer)
-        elif isinstance(st, BlockIo):
+        elif kind is BlockIo:
             task.io_blocked = True
             self.sim.post_event(
                 self.sim.now + st.latency, "io-completion", self.id, task,
-                lambda ev, w=st.completion_work: self._on_io_arrival(task, w))
+                lambda _, w=st.completion_work: self._on_io_arrival(task, w))

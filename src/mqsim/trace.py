@@ -10,12 +10,14 @@ A trace's mode says what it keeps:
 
 - ``"discard"``: nothing; for runs that never read the trace;
 - ``"hash"``: the running hash and the row count, not the rows;
-- ``"rows"``: the hash and every row, for exports and row readers.
+- ``"rows"``: the hash and every row, for row readers (``export`` writes
+  the CSV of a run in either of the last two modes as it is hashed).
 """
 
 from __future__ import annotations
 
 import io
+from contextlib import contextmanager
 from hashlib import blake2b
 from typing import NamedTuple
 
@@ -56,6 +58,7 @@ class SimTrace:
         self._hasher = blake2b(_HEADER.encode(), digest_size=8)
         self._pending: list[str] = []  # lines not yet fed to the hasher
         self._hashed = 0
+        self._out = None  # the text file of a running ``export``
         # bound here rather than tested in ``add``, which runs once per row
         if mode == "discard":
             self.add = _discard
@@ -66,7 +69,10 @@ class SimTrace:
         pending = self._pending
         pending.append(_line(t, sandbox, kind, entity, detail))
         if len(pending) == HASH_BLOCK_ROWS:
-            self._hasher.update("".join(pending).encode())
+            block = "".join(pending)
+            self._hasher.update(block.encode())
+            if self._out is not None:
+                self._out.write(block)
             self._hashed += HASH_BLOCK_ROWS
             pending.clear()
 
@@ -87,6 +93,23 @@ class SimTrace:
         rows = self.rows
         for i in range(0, len(rows), HASH_BLOCK_ROWS):
             fh.write("".join([_line(*row) for row in rows[i:i + HASH_BLOCK_ROWS]]))
+
+    @contextmanager
+    def export(self, fh):
+        """Write the CSV of every row added before the ``with`` block ends to
+        the text file ``fh``: the header now, each block of lines as it is
+        hashed, and the lines not yet hashed at the end.  Hashed lines are
+        gone, so an export must start before the first block is hashed."""
+        self._refuse_unless("hash", "rows")
+        if self._hashed:
+            raise RowsNotKept(f"{self._hashed} rows were hashed before the export")
+        fh.write(_HEADER)
+        self._out = fh
+        try:
+            yield
+        finally:
+            self._out = None
+        fh.write("".join(self._pending))
 
     def to_csv(self) -> str:
         buf = io.StringIO()

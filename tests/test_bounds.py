@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -366,7 +367,7 @@ class TestRttBound:
     def test_does_not_import_the_oracle(self):
         import ast
         from mqsim.bounds import formulas
-        tree = ast.parse(open(formulas.__file__).read())
+        tree = ast.parse(Path(formulas.__file__).read_text())
         modules = [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
         modules += [a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
                     for a in n.names]

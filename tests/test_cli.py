@@ -167,6 +167,9 @@ class TestRunCli:
         assert main(["run", "table1"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert (summary["trace_hash"], summary["trace_rows"]) == ("b73dece29e4a00bd", 11596)
+        # every event posted is cancelled, fired or still pending
+        assert summary["events"] == {"posted": 11_644, "cancelled": 4_798,
+                                     "fired": 6_844, "pending": 2}
 
     def test_unknown_scenario(self, capsys):
         with pytest.raises(Exception):

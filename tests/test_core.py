@@ -1,6 +1,7 @@
 """Event queue, clocks, IPIs, and trace reproducibility."""
 
 import hashlib
+import io
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,8 +26,9 @@ def trace_of(rows) -> SimTrace:
     return trace
 
 
-def collector(sim, log):
-    return lambda ev: log.append((sim.now, ev.kind, ev.payload))
+def collector(sim, log, kind):
+    """A handler that logs the time, ``kind`` and its payload."""
+    return lambda payload: log.append((sim.now, kind, payload))
 
 
 def arm_monitor_step(sb, ticks):
@@ -45,9 +47,9 @@ def arm_monitor_step(sb, ticks):
 def test_event_order_and_tiebreak():
     sim = Simulator()
     log = []
-    sim.post_event(100, "b", handler=collector(sim, log), payload="B")
-    sim.post_event(50, "a", handler=collector(sim, log), payload="A")
-    sim.post_event(100, "c", handler=collector(sim, log), payload="C")
+    sim.post_event(100, "b", handler=collector(sim, log, "b"), payload="B")
+    sim.post_event(50, "a", handler=collector(sim, log, "a"), payload="A")
+    sim.post_event(100, "c", handler=collector(sim, log, "c"), payload="C")
     sim.run_until(200)
     assert log == [(50, "a", "A"), (100, "b", "B"), (100, "c", "C")]
     assert sim.now == 200
@@ -64,11 +66,53 @@ def test_post_in_past_rejected():
 def test_cancel_before_fire():
     sim = Simulator()
     log = []
-    eid = sim.post_event(10, "x", handler=collector(sim, log))
+    eid = sim.post_event(10, "x", handler=collector(sim, log, "x"))
     assert sim.cancel_event(eid)
     assert not sim.cancel_event(eid)
     sim.run_until(100)
     assert log == []
+
+
+def test_cancel_after_fire_is_refused():
+    sim = Simulator()
+    log = []
+    fired = sim.post_event(10, "x", handler=collector(sim, log, "x"))
+    sim.run_until(10)
+    assert not sim.cancel_event(fired)
+    assert log == [(10, "x", None)]
+
+
+def test_event_counts_split_every_post():
+    sim = Simulator()
+    handles = [sim.post_event(t, "e") for t in (10, 20, 30, 40)]
+    sim.cancel_event(handles[1])
+    sim.cancel_event(handles[3])
+    sim.cancel_event(handles[3])
+    sim.run_until(25)
+    assert sim.event_counts() == {"posted": 4, "cancelled": 2, "fired": 1,
+                                  "pending": 1}
+
+
+def test_post_without_handler_moves_the_clock_and_is_seen_by_stop():
+    sim = Simulator()
+    sim.post_event(10, "bare")
+    sim.post_event(20, "bare")
+    seen = []
+    sim.run_until(100, stop=lambda: seen.append(sim.now) or True)
+    assert (seen, sim.now) == ([10], 10)
+    sim.run_until(100, stop=lambda: seen.append(sim.now) or False)
+    assert (seen, sim.now) == ([10, 20], 100)
+
+
+def test_handler_cancels_an_event_due_at_the_same_tick():
+    sim = Simulator()
+    log = []
+    later = []
+    sim.post_event(10, "canceller",
+                   handler=lambda _: log.append(sim.cancel_event(later[0])))
+    later.append(sim.post_event(10, "victim", handler=collector(sim, log, "victim")))
+    sim.run_until(10)
+    assert log == [True]
 
 
 def test_empty_run_advances_clock():
@@ -97,7 +141,7 @@ class TestStopPredicate:
         sim = Simulator()
         log = []
         for t in (10, 20, 30):
-            sim.post_event(t, "e", handler=collector(sim, log), payload=t)
+            sim.post_event(t, "e", handler=collector(sim, log, "e"), payload=t)
         return sim, log
 
     def test_returns_at_the_stopping_event(self):
@@ -395,6 +439,34 @@ class TestTrace:
             sim.trace.hash()
         with pytest.raises(ValidationError):
             Simulator(trace="keep")
+
+    def test_export_writes_each_block_as_it_is_hashed(self):
+        rows = [(t, "sb1", "wakeup", f"t{t % 7}", "")
+                for t in range(2 * HASH_BLOCK_ROWS + 5)]
+        trace = SimTrace("hash")
+        trace.add(*rows[0])
+        out = io.StringIO()
+        with trace.export(out):
+            for row in rows[1:HASH_BLOCK_ROWS - 1]:
+                trace.add(*row)
+            assert out.getvalue().count("\n") == 1  # the header
+            trace.add(*rows[HASH_BLOCK_ROWS - 1])
+            assert out.getvalue().count("\n") == 1 + HASH_BLOCK_ROWS
+            for row in rows[HASH_BLOCK_ROWS:]:
+                trace.add(*row)
+        assert out.getvalue() == trace_of(rows).to_csv()
+        assert trace.hash() == blake2b64(out.getvalue().encode())
+
+    def test_export_refused_once_a_block_is_hashed(self):
+        trace = SimTrace("hash")
+        for t in range(HASH_BLOCK_ROWS):
+            trace.add(t, "sb1", "wakeup")
+        with pytest.raises(RowsNotKept):
+            with trace.export(io.StringIO()):
+                pass
+        with pytest.raises(RowsNotKept):
+            with SimTrace("discard").export(io.StringIO()):
+                pass
 
     def test_hash_never_builds_the_csv(self, monkeypatch):
         sim = run_setup(22)

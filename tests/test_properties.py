@@ -3,6 +3,7 @@ variant in the regime its scenario analysis covers, the sound bound
 everywhere), event conservation, and the admission bound's exact
 arithmetic."""
 
+import bisect
 import itertools
 import random
 
@@ -152,8 +153,7 @@ def test_every_posted_event_fires_exactly_once_in_order():
     expected = []
     for i in range(500):
         t = rng.randint(0, 10_000)
-        eid = sim.post_event(t, "e", payload=i,
-                             handler=lambda ev: fired.append(ev.payload))
+        eid = sim.post_event(t, "e", payload=i, handler=fired.append)
         expected.append((t, eid, i))
     cancelled = set()
     for t, eid, i in expected[::7]:
@@ -163,6 +163,66 @@ def test_every_posted_event_fires_exactly_once_in_order():
     want = [i for (t, eid, i) in sorted(expected, key=lambda x: (x[0], x[1]))
             if i not in cancelled]
     assert fired == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(times=st.lists(st.integers(0, 50), min_size=1, max_size=30),
+       actions=st.lists(st.tuples(st.sampled_from(["none", "post", "cancel"]),
+                                  st.integers(0, 40)), max_size=60),
+       cancelled=st.sets(st.integers(0, 29)))
+def test_posts_cancels_and_nested_posts_fire_in_sorted_order(times, actions,
+                                                            cancelled):
+    """Event i's handler applies ``actions[i]``: post a new event ``arg``
+    ticks later, or cancel event ``arg``.  A reference keeps the pending
+    (fire_at, id) pairs in a sorted list."""
+    sim = Simulator()
+    handles, fired, results = [], [], []
+
+    def post(t):
+        handles.append(sim.post_event(t, "e", payload=len(handles), handler=handle))
+
+    def handle(i):
+        fired.append((sim.now, i))
+        kind, arg = actions[i] if i < len(actions) else ("none", 0)
+        if kind == "post":
+            post(sim.now + arg)
+        elif kind == "cancel" and arg < len(handles):
+            results.append(sim.cancel_event(handles[arg]))
+
+    for t in times:
+        post(t)
+    for i in sorted(cancelled):
+        if i < len(times):
+            results.append(sim.cancel_event(handles[i]))
+    sim.run_until(10**6)
+
+    pending, want, want_results, next_id = [], [], [], len(times)
+    for i, t in enumerate(times):
+        bisect.insort(pending, (t, i))
+    fire_at = dict(enumerate(times))
+
+    def ref_cancel(i):
+        hit = (fire_at[i], i) in pending
+        if hit:
+            pending.remove((fire_at[i], i))
+        want_results.append(hit)
+
+    for i in sorted(cancelled):
+        if i < len(times):
+            ref_cancel(i)
+    while pending:
+        t, i = pending.pop(0)
+        want.append((t, i))
+        kind, arg = actions[i] if i < len(actions) else ("none", 0)
+        if kind == "post":
+            fire_at[next_id] = t + arg
+            bisect.insort(pending, (t + arg, next_id))
+            next_id += 1
+        elif kind == "cancel" and arg < next_id:
+            ref_cancel(arg)
+    assert (fired, results) == (want, want_results)
+    assert sim.event_counts() == {"posted": next_id, "cancelled": sum(want_results),
+                                  "fired": len(want), "pending": 0}
 
 
 def test_no_event_fires_before_post_time():

@@ -11,7 +11,7 @@ from mqsim.errors import MalformedVcpu, OverConsume, SchedulerFault, ValidationE
 from mqsim.ipc import ExchangeProfile, establish_channel
 from mqsim.metrics import (IntervalSet, budget_law_violations, finish_run,
                            replenishment_conserved)
-from mqsim.sched import REPL_QUEUE_CAP, Sandbox, Vcpu, admit
+from mqsim.sched import REPL_QUEUE_CAP, Compute, Sandbox, Vcpu, admit
 from mqsim.workloads import (busy_loop, io_cycle, periodic_logger, pingpong_receiver,
                              pingpong_sender)
 from trace_corpus import CORPUS_SEEDS, run_setup
@@ -224,18 +224,23 @@ class TestReplenishment:
         assert repl_of(v) == [(50_000, 4_000), (70_000, 6_000)]
 
     def test_overrun_defers_replenishment(self):
-        sim, sb = mini()
-        v = sb.add_vcpu("v", 10_000, 50_000)
-        v.begin_chunk(0)
-        v.consume(12_000, allow_overrun=True)  # 2 ms beyond the budget
-        v.close_chunk()
-        assert [(e.t_local, e.amount) for e in v.repl] == [(52_000, 12_000)]
+        # a monitor step runs 2 ms beyond the budget
+        def program(api):
+            yield Compute(12_000, monitor=True)
+            yield api.park()
+
+        v = run_program(10_000, 50_000, program, 20_000)
+        assert v.budget == -2_000
+        assert repl_of(v) == [(52_000, 12_000)]
 
     def test_overconsume_rejected(self):
         sim, sb = mini()
         v = sb.add_vcpu("v", 10, 50)
-        v.begin_chunk(0)
-        with pytest.raises(OverConsume):
+        with pytest.raises(OverConsume, match="no open execution chunk"):
+            v.consume(1)
+        sb.add_task("t", v, program=busy_loop(5))
+        sb.touch()  # the dispatch opens v's chunk
+        with pytest.raises(OverConsume, match="exceeds budget"):
             v.consume(11)
 
     def test_queue_cap_merges_oldest(self):
