@@ -126,15 +126,17 @@ class CommBoundInput:
 
     def __post_init__(self):
         put = object.__setattr__
-        vals = []
-        for name in ("c_s", "t_s", "c_d", "t_d", "request_work", "response_work"):
-            v = getattr(self, name)
-            if type(v) is not Fraction:
-                v = Fraction(v)
-                put(self, name, v)
-            vals.append(v)
-        scale = math.lcm(*[v.denominator for v in vals])
-        ticks = tuple([v.numerator * (scale // v.denominator) for v in vals])
+        names = ("c_s", "t_s", "c_d", "t_d", "request_work", "response_work")
+        vals = [getattr(self, name) for name in names]
+        if all(type(v) is int for v in vals):  # whole numbers: the tick is 1
+            scale, ticks = 1, tuple(vals)
+            vals = [Fraction(v) for v in vals]
+        else:
+            vals = [v if type(v) is Fraction else Fraction(v) for v in vals]
+            scale = math.lcm(*[v.denominator for v in vals])
+            ticks = tuple([v.numerator * (scale // v.denominator) for v in vals])
+        for name, v in zip(names, vals):
+            put(self, name, v)
         put(self, "_scale", scale)
         put(self, "_ticks", ticks)
         c_s, t_s, c_d, t_d, n, m = ticks
@@ -257,13 +259,12 @@ def comm_breakdown(inp: CommBoundInput) -> CommBoundBreakdown:
     else:
         case_id = 3 if r_floor <= 0 else 5
 
+    frac = Fraction if scale == 1 else lambda x: Fraction(x, scale)
     return CommBoundBreakdown(
-        inp=inp, l_s=_exact(l_s, scale), l_d=_exact(l_d, scale),
-        s=_exact(s, scale), d=_exact(d, scale), r=Fraction(d - l_s, t_s),
-        r_floor=r_floor, q=_exact(q, scale), p=_exact(p, scale),
-        b=_exact(b, scale), n1=_exact(n1, scale), n2=_exact(n2, scale),
-        e=_exact(e, scale), w=_exact(w, scale),
-        w_shifted=_exact(w + e, scale), case_id=case_id)
+        inp=inp, l_s=frac(l_s), l_d=frac(l_d), s=frac(s), d=frac(d),
+        r=Fraction(d - l_s, t_s), r_floor=r_floor, q=frac(q), p=frac(p),
+        b=frac(b), n1=frac(n1), n2=frac(n2), e=frac(e), w=frac(w),
+        w_shifted=frac(w + e), case_id=case_id)
 
 
 # --- the sound bound ------------------------------------------------------------

@@ -309,7 +309,8 @@ class TestTypes:
                                        "observed")) == {}
         assert type(brute_force_worst_rtt(inp)) is Fraction
         assert {k: type(v) for k, v in worst_point(inp).items()} == {
-            "sigma": Fraction, "request": Fraction, "response": Fraction}
+            "sigma": Fraction, "request": Fraction, "response": Fraction,
+            "x": Fraction}
 
 
 class TestRttBound:
@@ -331,6 +332,16 @@ class TestRttBound:
         inp = CommBoundInput(20, 100, 20, 100, 5, 0)
         assert comm_breakdown(inp).d == -20           # paper: D = -C_d
         assert rtt_bound(inp).worst_completion.response == 0
+
+    def test_zero_response_of_input_947(self):
+        # criterion 3's input 947 (counting from 0): the zero-response
+        # instance of the whole-budget convention, L_d = C_d, so the paper's
+        # D is one budget short
+        inp = CommBoundInput(176, 434, 167, 275, 87, 0)
+        bd = comm_breakdown(inp)
+        assert (bd.l_d, bd.d, bd.case_id, bd.w_shifted) == (167, -167, 1, 265)
+        assert rtt_bound(inp).worst_completion.response == 0
+        assert brute_force_worst_rtt(inp) == rtt_bound(inp).completion == 345
 
     def test_request_of_one_whole_budget(self):
         inp = CommBoundInput(5, 20, 3, 15, 5, 1)

@@ -8,10 +8,12 @@ from fractions import Fraction
 
 import pytest
 
+from mqsim import experiments
+from mqsim.acceptance import _random_input
 from mqsim.bounds import (CommBoundInput, brute_force_worst_rtt, comm_breakdown,
                           rtt_bound)
 from mqsim.bounds.oracle import _worst, worst_point
-from oracle_reference import _send_end, worst_2d
+from oracle_reference import _resp_end, _send_end, worst_2d
 
 
 def test_worked_example_bracket():
@@ -59,6 +61,64 @@ def test_separable_sweep_equals_2d_reference_exhaustively_up_to_6():
         assert _worst(*args)[0] == worst_2d(*args)[0], args
         count += 1
     assert count == 21 * 21 * 6 * 7
+
+
+def test_separable_sweep_equals_2d_reference_up_to_200():
+    """Seeded inputs with parameters up to 200, where requests and
+    responses cross many windows."""
+    rng = random.Random(31)
+    for _ in range(40):
+        c_s = rng.randint(1, 200)
+        t_s = rng.randint(c_s, 200)
+        c_d = rng.randint(1, 200)
+        t_d = rng.randint(c_d, 200)
+        args = (c_s, t_s, c_d, t_d, rng.randint(1, 200), rng.randint(0, 200))
+        best, sigma, te, tr = worst_2d(*args)
+        got = _worst(*args)
+        assert (got[0], got[2], got[3]) == (best, te - sigma, tr - te), args
+
+
+def _responses(c_d, t_d, m):
+    """Response time from each request-end offset x in [0, T_d) of the
+    receiver's period, by the reference's window walk."""
+    return [_resp_end(c_d, t_d, 0, x, m) - x for x in range(t_d)]
+
+
+def test_worst_response_offset_is_the_first_maximum():
+    """``x`` is the first offset in [0, T_d) with the longest response:
+    exhaustively for receiver parameters up to 6, then on seeded inputs."""
+    r = range(1, 7)
+    cases = [(c, t, m) for c in r for t in r if c <= t for m in range(0, 14)]
+    rng = random.Random(9)
+    for _ in range(200):
+        c_d = rng.randint(1, 40)
+        cases.append((c_d, rng.randint(c_d, 80), rng.randint(0, 120)))
+    for c_d, t_d, m in cases:
+        point = worst_point(CommBoundInput(3, 7, c_d, t_d, 4, m))
+        responses = _responses(c_d, t_d, m)
+        assert point["response"] == max(responses), (c_d, t_d, m)
+        assert point["x"] == responses.index(max(responses)), (c_d, t_d, m)
+
+
+def test_equals_the_sound_completion_on_criterion_3_inputs():
+    """Seeded inputs drawn as criterion 3 draws them (parameters up to
+    500), on a seed of their own."""
+    rng = random.Random(73)
+    for _ in range(200):
+        inp = _random_input(rng)
+        assert brute_force_worst_rtt(inp) == rtt_bound(inp).completion, inp
+
+
+def test_equals_the_sound_completion_on_fig12_inputs():
+    c_s, t_s = experiments.FIG12_SENDER
+    got = {}
+    for name, cfg in experiments.FIG12_CASES.items():
+        inp = CommBoundInput(c_s, t_s, *cfg["receiver"],
+                             experiments.FIG12_REQUEST_WORK,
+                             cfg["response_work"])
+        got[name] = brute_force_worst_rtt(inp)
+        assert got[name] == rtt_bound(inp).completion, name
+    assert sorted(got.values()) == [94_000, 170_000, 200_000, 270_000, 300_000]
 
 
 def test_rational_inputs_rescale_exactly():
@@ -113,3 +173,16 @@ def test_worst_point_splits_the_maximum():
     assert point["request"] + point["response"] == brute_force_worst_rtt(inp)
     sound = rtt_bound(inp).worst_completion
     assert (point["request"], point["response"]) == (sound.request, sound.response)
+
+
+def test_imports_only_the_input_from_the_bound_engine():
+    """The sweep shares no arithmetic with ``rtt_bound``: from the formulas
+    module it takes only the input type and the tick-to-Fraction helper."""
+    import ast
+    from pathlib import Path
+
+    from mqsim.bounds import oracle
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    names = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+             and n.module.startswith("mqsim") for a in n.names}
+    assert names == {"CommBoundInput", "_exact"}
