@@ -258,9 +258,9 @@ class MigrationEngine:
     # -- preemption point ----------------------------------------------------------
 
     def on_chunk_done(self, task):
-        """Preemption point after a chunk of the migration thread ``task``:
-        account the chunk, deliver queued IPIs, and either continue, yield
-        for budget, or finalize."""
+        """Preemption point after a chunk of the migration thread ``task``
+        (the scheduler has delivered queued IPIs): account the chunk, and
+        either continue, yield for budget, or finalize."""
         sb = task.sandbox
         job = self.jobs[sb.id]
         v = task.vcpu
@@ -268,7 +268,6 @@ class MigrationEngine:
         job.delta_s_actual += work
         job.cursor += 1
         v.consume(self.sim.cost.preemption_point_cost, allow_overrun=True)
-        sb.drain_ipis()
         self.sim.trace.add(self.sim.now, sb.id, "mig_chunk", job.space_id,
                            f"{label};budget={v.budget}")
         if job.cursor >= len(job.chunks):

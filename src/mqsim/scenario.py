@@ -11,7 +11,8 @@ seconds of ``run_until_s``, ``sample_period_s`` and ``at_s`` become
 key of an unknown or missing key, of a value its rule or object refuses,
 and of a broken rule across entries: a repeated id, a dangling reference,
 a channel without one sender and one receiver or sharing its sandboxes, a
-failed admission test, a thread migration to a sandbox with no thread.
+failed admission test, a task on an I/O VCPU, a thread migration to a
+sandbox with no thread.
 """
 
 from __future__ import annotations
@@ -212,6 +213,9 @@ def load_scenario(path_or_dict) -> Scenario:
                 _add(threads, sid, v, "migration thread in sandbox")
             v.setdefault("highest_priority", v["role"] == "migration")
             if (task := v.get("task")) is not None:
+                if v["kind"] == "io":
+                    raise ValidationError(f"{v_name}: task: an I/O VCPU runs "
+                                          f"only I/O completions")
                 # str(): a malformed type may be unhashable
                 table = TASKS.get(str(task.get("type")), (None, {}))[1]
                 task = v["task"] = _entry(f"{v_name}: task", task, TASK | table)

@@ -22,7 +22,6 @@ from mqsim.errors import MalformedVcpu, OverConsume, SchedulerFault, ValidationE
 REPL_QUEUE_CAP = 8
 VCPU_KINDS = ("main", "io")
 ADMISSION_MODES = ("ll", "exact")
-_BACKGROUND = (2, 1 << 60, 1 << 30)
 
 
 # --- workload steps -----------------------------------------------------
@@ -141,13 +140,13 @@ class Task:
     def make_ready(self):
         if not self.ready and not self.done:
             self.ready = True
-            self.vcpu.ready_q.append(self)
+            self.vcpu.queue.append(self)
             self.vcpu.note_eligibility()
 
     def leave_ready(self):
         if self.ready:
             self.ready = False
-            self.vcpu.ready_q.remove(self)
+            self.vcpu.queue.remove(self)
             self.vcpu.note_eligibility()
 
     def _on_wakeup(self, timer: LocalTimer):
@@ -158,14 +157,10 @@ class Task:
         sb.touch()
 
 
-@dataclass
-class IoJob:
-    task: Task
-    remaining: int
-
-
 class Vcpu:
-    """Sporadic-server resource container (Main or I/O).
+    """Sporadic-server resource container (Main or I/O).  ``queue`` holds a
+    main VCPU's ready tasks, or the I/O-blocked tasks whose completion steps
+    an I/O VCPU runs (see ``Sandbox._on_io_arrival``).
 
     ``note_eligibility`` records ``eligible()`` wherever a change to one of
     its inputs (budget, queue, ``migrating``, dispatch floor) can change it;
@@ -189,11 +184,8 @@ class Vcpu:
         self.index = sandbox.next_vcpu_index()
         self.budget = self.capacity
         self.repl: list[LocalTimer] = []
-        self.ready_q: deque[Task] = deque()
+        self.queue: deque[Task] = deque()
         self.tasks: list[Task] = []
-        self.io_jobs: deque[IoJob] = deque()
-        self.inherited: dict[str, tuple] = {}
-        self._queue = self.io_jobs if kind == "io" else self.ready_q
         self.migrating = False
         self._dispatch_floor = 1
         self.chunk_activation_local: int | None = None
@@ -206,8 +198,10 @@ class Vcpu:
     # -- priority ---------------------------------------------------------
 
     def priority_key(self) -> tuple:
+        """An I/O VCPU holds the best key of the VCPUs whose tasks it queues:
+        static while they wait, as migration refuses an I/O-blocked task."""
         if self.kind == "io":
-            return min(self.inherited.values()) if self.inherited else _BACKGROUND
+            return min(t.vcpu.priority_key() for t in self.queue)
         return (0 if self.highest_priority else 1, self.period, self.index)
 
     def set_dispatch_floor(self, budget: int):
@@ -220,7 +214,7 @@ class Vcpu:
     def eligible(self) -> bool:
         """Not migrating, work queued, and budget at least the dispatch
         floor."""
-        return not self.migrating and bool(self._queue) \
+        return not self.migrating and bool(self.queue) \
             and self.budget >= self._dispatch_floor
 
     def note_eligibility(self):
@@ -236,7 +230,7 @@ class Vcpu:
             self._eligible_since = None
 
     def current_work(self):
-        q = self._queue
+        q = self.queue
         return q[0] if q else None
 
     # -- budget accounting --------------------------------------------------
@@ -284,6 +278,16 @@ class Vcpu:
             trace.add(sb.sim.now, sb.id, "replenish", self.id,
                       f"amount={timer.amount};budget={self.budget}")
         sb.touch()
+
+    def hand_back(self, task: Task):
+        """The ``done`` of an I/O completion step at the head of this I/O
+        VCPU's queue: return ``task`` to its own VCPU's queue."""
+        self.queue.popleft()
+        self.note_eligibility()
+        task.io_blocked = False
+        task.make_ready()
+        sb = self.sandbox
+        sb.sim.trace.add(sb.sim.now, sb.id, "io_done", task.id, "")
 
     def timers(self) -> list[LocalTimer]:
         """Pending replenishments, then each task's wakeups: the order in
@@ -398,7 +402,7 @@ class Sandbox:
         self._vcpu_index = 0
         self._advance_event: list | None = None  # the armed advance's handle
         self._advance_handler = self._on_advance
-        self._timed = None  # the IoJob or step whose ``remaining`` runs down
+        self._timed = None  # the armed step whose ``remaining`` runs down
         self._by_priority: list[Vcpu] = []  # main VCPUs by static priority key
         self._io_vcpus: list[Vcpu] = []
         sim.sandboxes[sandbox_id] = self
@@ -407,7 +411,7 @@ class Sandbox:
     def monitor_busy(self) -> bool:
         """A monitor-mode step is armed and has ticks left."""
         timed = self._timed
-        return type(timed) is Compute and timed.monitor and timed.remaining > 0
+        return timed is not None and timed.monitor and timed.remaining > 0
 
     # -- construction -------------------------------------------------------
 
@@ -424,6 +428,9 @@ class Sandbox:
 
     def add_task(self, task_id: str, vcpu: Vcpu, program,
                  start_ready: bool = True) -> Task:
+        if vcpu.kind == "io":
+            raise ValidationError(f"sandbox {self.id}: task {task_id}: I/O VCPU "
+                                  f"{vcpu.id} runs only I/O completions")
         t = Task(self, task_id, vcpu, program)
         self.tasks[task_id] = t
         if start_ready:
@@ -563,11 +570,11 @@ class Sandbox:
             self.sim.trace.add(self.sim.now, self.id, "io_done", task.id, "direct")
             self.touch()
             return
-        # the I/O VCPU runs the completion at the priority of the task's VCPU;
-        # with several jobs pending it holds the best of their keys
+        # the I/O VCPU runs the completion as the task's own step, at the
+        # priority of the task's VCPU (see ``Vcpu.priority_key``)
         io_vcpu = self._io_vcpus[0]
-        io_vcpu.io_jobs.append(IoJob(task, completion_work))
-        io_vcpu.inherited[task.id] = task.vcpu.priority_key()
+        task.step = Compute(completion_work, io_vcpu.hand_back)
+        io_vcpu.queue.append(task)
         io_vcpu.note_eligibility()
         self.touch()
 
@@ -629,8 +636,8 @@ class Sandbox:
         now = self.sim.now
         dt = now - self.chunk_start_true
         if dt:
-            timed = self._timed  # a monitor step may overrun (``monitor_busy``)
-            v.consume(dt, type(timed) is Compute and timed.monitor and timed.remaining > 0)
+            timed = self._timed  # only a monitor step may overrun
+            v.consume(dt, dt > v.budget and self.monitor_busy)
             if timed is not None:
                 timed.remaining -= dt
                 if timed.remaining < 0:
@@ -651,9 +658,7 @@ class Sandbox:
         v.chunk_activation_local = self.clock.to_local(self.sim.now)
         trace = self.sim.trace
         if trace.mode != "discard":
-            work = v._queue[0] if v._queue else None
-            entity = work.id if type(work) is Task else (
-                work.task.id if type(work) is IoJob else "")
+            entity = v.queue[0].id if v.queue else ""
             trace.add(self.sim.now, self.id, "ctx_switch", v.id,
                       f"task={entity};budget={v.budget}")
 
@@ -680,12 +685,11 @@ class Sandbox:
         replacing the one armed before.  A monitor step runs to its end."""
         if self._advance_event is not None:
             self.sim.cancel_event(self._advance_event)
-        work = v._queue[0]
-        timed = work if type(work) is IoJob else work.step
+        timed = v.queue[0].step
         if type(timed) is PollWait:  # budget-bound busy wait
             timed = None
             dur = v.budget
-        elif type(timed) is Compute and timed.monitor:
+        elif timed.monitor:
             dur = timed.remaining
         else:
             dur = v.budget if v.budget < timed.remaining else timed.remaining
@@ -704,27 +708,20 @@ class Sandbox:
         self._settle()
         v, timed = self.running, self._timed
         if timed is not None and timed.remaining == 0:
-            if type(timed) is IoJob:
-                self._complete_io(v)
-            else:
-                self._complete_step(v)
-        if self.running is v and v.budget <= 0 and not (
-                type(timed) is Compute and timed.monitor and timed.remaining):
+            self._complete_step(v)
+        if self.running is v and v.budget <= 0 and not self.monitor_busy:
             self._stop_running()
         self._dispatch()
 
-    def _complete_io(self, v: Vcpu):
-        job = v.io_jobs.popleft()
-        v.inherited.pop(job.task.id, None)
-        v.note_eligibility()
-        job.task.io_blocked = False
-        job.task.make_ready()
-        self.sim.trace.add(self.sim.now, self.id, "io_done", job.task.id, "")
-
     def _complete_step(self, v: Vcpu):
-        task = v._queue[0]
+        """Complete the step of the task at the head of ``v``'s queue: a
+        monitor step's end is a preemption point, so queued IPIs are
+        delivered before its ``done``."""
+        task = v.queue[0]
         st = task.step
         task.step = None
+        if st.monitor:
+            self.drain_ipis()
         if st.done is not None:
             st.done(task)
 
@@ -737,21 +734,17 @@ class Sandbox:
         it only closes and opens chunks).  A completed step can make ``v``
         ineligible: a preemption point short of budget raises its floor."""
         completed = False
-        queue = v._queue
+        queue = v.queue
         while True:
             if not queue:
                 return None
-            work = queue[0]
-            if type(work) is IoJob:
-                if work.remaining:
-                    return completed
-                self._complete_io(v)
-            elif (st := work.step) is None:
-                self._install_next(work)
+            task = queue[0]
+            if (st := task.step) is None:
+                self._install_next(task)
             elif type(st) is PollWait:
-                if st.channel.take(work) is None:
+                if st.channel.take(task) is None:
                     return completed
-                work.step = None
+                task.step = None
             elif st.remaining:
                 return completed
             else:

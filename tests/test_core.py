@@ -272,11 +272,10 @@ class TestIpi:
         assert got == []
         assert len(dst.pending_ipis) == 1
         assert dst.monitor_busy
-        sim.run_until(2000)  # the step ended at 1,500; nothing drained the queue
+        sim.run_until(2000)  # the step's end at 1,500 delivered it
         assert not dst.monitor_busy
-        assert got == []
-        dst.drain_ipis()
-        assert got == [2000]
+        assert got == [1500]
+        assert dst.pending_ipis == []
 
     def test_queued_ipis_delivered_first_in_arrival_order(self):
         sim = Simulator()
@@ -289,15 +288,16 @@ class TestIpi:
                          handler=lambda sb, src, p: got.append((sim.now, p)))
         sim.run_until(999)
         assert dst.monitor_busy
-        sim.run_until(1000)  # the step ends; the two IPIs stay queued
-        assert not dst.monitor_busy
-        assert [p for _, p, _ in dst.pending_ipis] == [1, 2]
         assert got == []
+        sim.run_until(1000)  # the step's end delivers both, in arrival order
+        assert not dst.monitor_busy
+        assert dst.pending_ipis == []
+        assert got == [(1000, 1), (1000, 2)]
         sim.send_ipi("a", "b", payload=3,
                      handler=lambda sb, src, p: got.append((sim.now, p)))
         sim.run_until(2000)
         arrival = 1000 + sim.cost.ipi_cost
-        assert got == [(arrival, 1), (arrival, 2), (arrival, 3)]
+        assert got == [(1000, 1), (1000, 2), (arrival, 3)]
         assert dst.pending_ipis == []
 
 

@@ -160,6 +160,15 @@ class TestValidation:
         with pytest.raises(ValidationError, match="admission"):
             load_scenario(raw)
 
+    def test_task_on_an_io_vcpu(self):
+        # an I/O VCPU queues only I/O completions, so its task would never run
+        raw = table1()
+        raw["sandboxes"][1]["vcpus"].append(
+            {"id": "io2", "c_us": 1_000, "t_us": 10_000, "kind": "io",
+             "task": {"type": "busy", "name": "spin", "iteration_cost_us": 100}})
+        with pytest.raises(ValidationError, match="vcpu 'io2': task"):
+            load_scenario(raw)
+
     def test_second_channel_between_one_pair(self):
         # establish_channel returns the first channel for the pair, so the
         # second would rebind its endpoints at build

@@ -162,6 +162,29 @@ class TestVcpuBasics:
             run_setup(seed)
         assert bad == []
 
+    @staticmethod
+    def _misqueued(sb) -> list:
+        """(VCPU, task) pairs queued out of place: an I/O VCPU queues only
+        I/O-blocked tasks, each on its completion's ``Compute`` step, and a
+        main VCPU only its own tasks that are not I/O-blocked."""
+        return [(v.id, t.id) for v in sb.vcpus.values() for t in v.queue
+                if not (t.io_blocked and type(t.step) is Compute if v.kind == "io"
+                        else t.vcpu is v and not t.io_blocked)]
+
+    def test_io_completions_queue_on_the_io_vcpu_on_random_setups(self, monkeypatch):
+        """After each dispatch every queued task is in place, and the corpus
+        runs 1,660 completions on I/O VCPUs (in 30 seeds) and 1,057 direct
+        ones, so its goldens pin both paths."""
+        bad = self._check_after_dispatch(monkeypatch, self._misqueued)
+        on_io, direct, seeds = 0, 0, 0
+        for seed in CORPUS_SEEDS:
+            details = [r.detail for r in run_setup(seed).trace.rows
+                       if r.kind == "io_done"]
+            n = details.count("")
+            on_io, direct, seeds = on_io + n, direct + len(details) - n, seeds + (n > 0)
+        assert bad == []
+        assert (on_io, direct, seeds) == (1_660, 1_057, 30)
+
     def test_highest_priority_flag_beats_shorter_period(self):
         sim, sb = mini()
         hp = sb.add_vcpu("hp", 10, 1000, highest_priority=True)
@@ -362,8 +385,9 @@ class TestAdmission:
 
 class TestPriorityInheritance:
     def test_completed_job_gives_up_its_key(self):
-        """Through dispatch: the I/O VCPU holds the best key of its pending
-        jobs' VCPUs and gives a job's key up when that job completes."""
+        """Through dispatch: the I/O VCPU queues the I/O-blocked tasks, holds
+        the best key of their VCPUs, and gives a task's key up when its
+        completion step hands it back."""
         sim, sb = mini()
         io = sb.add_vcpu("io", 2_000, 10_000, kind="io")
         short = sb.add_vcpu("short", 1_000, 5_000)
@@ -377,14 +401,21 @@ class TestPriorityInheritance:
         assert sb.running is io
         assert io.priority_key() == short.priority_key()
         sim.run_until(1_300)
-        assert set(io.inherited) == {"ts", "tl"}
+        assert [t.id for t in io.queue] == ["ts", "tl"]
         assert io.priority_key() == short.priority_key()  # max of the two
         sim.run_until(1_650)  # short's job completed at 1,600
         assert io.priority_key() == long.priority_key()
         assert sb.running is short  # its key now beats the I/O VCPU's
         sim.run_until(2_250)  # long's job completed at 2,200
-        assert io.inherited == {}
+        assert not io.queue and [t.id for t in long.queue] == ["tl"]
         assert [iv[0] for iv in io.exec_intervals] == [1_100, 1_700]
+
+    def test_task_bound_to_an_io_vcpu_refused(self):
+        _, sb = mini()
+        io = sb.add_vcpu("io", 10, 100, kind="io")
+        with pytest.raises(ValidationError, match="I/O VCPU io"):
+            sb.add_task("t", io, program=busy_loop(5))
+        assert (sb.tasks, io.tasks, list(io.queue)) == ({}, [], [])
 
     def test_key_tie_goes_to_the_earlier_vcpu(self):
         """An I/O VCPU holding a main VCPU's own key runs first when it was
@@ -402,7 +433,8 @@ class TestPriorityInheritance:
             sb.add_task("busy", main, program=busy_loop(5))
             sb.touch()
             sim.run_until(9)
-            assert io.inherited == {"waiter": main.priority_key()}
+            assert [t.id for t in io.queue] == ["waiter"]
+            assert io.priority_key() == main.priority_key()
             assert sb.running is (io if io_first else main)
 
     def test_order_follows_adopt_and_drop(self):

@@ -1,14 +1,15 @@
-"""Every function, method and class in ``src/mqsim`` has a caller in the
-program: a reference in ``src/`` or ``perfbench/`` other than its own
-definition, an import of it, or an entry of an ``__all__`` list.  Every
-dataclass field and every attribute stored in ``src/mqsim`` is read, as an
-attribute, somewhere in the program.  Code that only tests call, and state
-that only tests read, is a second path the simulator never runs.
+"""Every function, method, class and module-level name in ``src/mqsim`` has
+a caller in the program: a reference in ``src/`` or ``perfbench/`` other
+than its own definition or assignment, an import of it, or an entry of an
+``__all__`` list.  Every dataclass field and every attribute stored in
+``src/mqsim`` is read, as an attribute, somewhere in the program.  Code
+that only tests call, and state that only tests read, is a second path the
+simulator never runs.
 
 Both checks match by bare name, so they have blind spots: a definition or a
 field is taken as used when any other one of the same name is.
 ``Message.nbytes`` went unflagged while it existed, because
-``Send.nbytes`` was read.  Dunder methods are skipped, and
+``Send.nbytes`` was read.  Dunder names are skipped, and
 parameters and their defaults are not checked at all."""
 
 import ast
@@ -36,11 +37,11 @@ def _parse(path: Path) -> ast.Module:
 
 def references(tree: ast.Module) -> set[str]:
     """Names read as a variable or an attribute, or imported under another
-    name.  A plain import, an ``__all__`` string and a docstring are not
-    references."""
+    name.  An assignment, a plain import, an ``__all__`` string and a
+    docstring are not references."""
     found = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
@@ -54,6 +55,17 @@ def definitions(tree: ast.Module) -> set[str]:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef))
             and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def module_names(tree: ast.Module) -> set[str]:
+    """Names a module's top-level statements assign, dunders skipped."""
+    found = set()
+    for st in tree.body:
+        targets = st.targets if isinstance(st, ast.Assign) else (
+            [st.target] if isinstance(st, ast.AnnAssign) else [])
+        found |= {node.id for t in targets for node in ast.walk(t)
+                  if isinstance(node, ast.Name)}
+    return {n for n in found if not (n.startswith("__") and n.endswith("__"))}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -94,7 +106,8 @@ def unread() -> list[str]:
 def unreferenced() -> list[str]:
     defined = set()
     for path in PACKAGE.rglob("*.py"):
-        defined |= definitions(_parse(path))
+        tree = _parse(path)
+        defined |= definitions(tree) | module_names(tree)
     used = set()
     for top in PROGRAM:
         for path in top.rglob("*.py"):
@@ -113,6 +126,14 @@ def test_guard_sees_a_name_only_its_definition_mentions():
                      "def used():\n    pass\n"
                      "x = used\n")
     assert definitions(tree) - references(tree) == {"lonely"}
+
+
+def test_guard_sees_a_constant_only_its_assignment_mentions():
+    tree = ast.parse("__version__ = '1'\n"
+                     "LIMIT, _LEFT = 8, 2\n"
+                     "_USED: int = 3\n"
+                     "def f(x):\n    return min(x, LIMIT + _USED)\n")
+    assert module_names(tree) - references(tree) == {"_LEFT"}
 
 
 def test_every_stored_value_is_read():
